@@ -75,14 +75,3 @@ def from_gross(x) -> dict:
         out[e] = coefficient
     return out
 
-
-def rational_text(q: Fraction) -> str:
-    """A finite rational in the exact output format: an integer, a decimal
-    when the denominator has only the factors 2 and 5, else ``p/q``."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    for scale in range(1, 64):
-        if 10**scale % q.denominator == 0:
-            digits = str(abs(q.numerator) * 10**scale // q.denominator).rjust(scale + 1, "0")
-            return ("-" if q < 0 else "") + digits[:-scale] + "." + digits[-scale:]
-    return f"{q.numerator}/{q.denominator}"

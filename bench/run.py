@@ -38,7 +38,7 @@ ROOT = BENCH.parent
 SRC = ROOT / "src"
 OUT = BENCH / "out"
 
-SETUP_SPAWNS = 15
+SETUP_SPAWNS = 31
 TRACE_SETUP_SPAWNS = 7
 MIN_SAMPLES = 1000  # at least ten latency samples beyond p99
 MAX_TIMED_SECONDS = 120.0
@@ -71,21 +71,26 @@ def spawn(code: str) -> tuple[float, subprocess.CompletedProcess]:
     return time.perf_counter() - start, done
 
 
-def setup_runs(count: int) -> tuple[list[float], list[tuple[float, float]], list[str]]:
-    """Wall times of ``count`` cold CLI runs after one unmeasured run that
-    fills the bytecode cache, the children's own import and command times,
-    and a failure cause for each run that did not print ``1``."""
-    spawn(SETUP_CHILD)
-    walls, inner, causes = [], [], []
-    for _ in range(count):
-        wall, done = spawn(SETUP_CHILD)
-        walls.append(wall)
-        if done.returncode != 0 or done.stdout != "1\n":
-            causes.append(f"cold start: `grossone eval 1` exited {done.returncode} printing {done.stdout!r}")
-            continue
-        import_s, command_s = map(float, done.stderr.split()[-2:])
-        inner.append((import_s, command_s))
-    return walls, inner, causes
+class ColdStarts:
+    """Cold `grossone eval 1` runs: their wall times, the children's own
+    import and command times, and a failure cause for each run that did not
+    print ``1``.  One unmeasured run first fills the bytecode cache."""
+
+    def __init__(self):
+        spawn(SETUP_CHILD)
+        self.walls: list[float] = []
+        self.inner: list[tuple[float, float]] = []
+        self.causes: list[str] = []
+
+    def run(self, count: int = 1) -> None:
+        for _ in range(count):
+            wall, done = spawn(SETUP_CHILD)
+            self.walls.append(wall)
+            if done.returncode != 0 or done.stdout != "1\n":
+                self.causes.append(f"cold start: `grossone eval 1` exited {done.returncode} printing {done.stdout!r}")
+                continue
+            import_s, command_s = map(float, done.stderr.split()[-2:])
+            self.inner.append((import_s, command_s))
 
 
 def describe(result) -> str:
@@ -179,7 +184,9 @@ class Run:
     def timed(self, seconds: float, call=None, on_pass=None, min_samples: int = 0):
         """Repeat the item list for ``seconds`` (and until ``min_samples``
         latencies exist); returns the per-pass item rates and all latencies.
-        Each pass's results must equal the checked warm-up results."""
+        Each pass's results must equal the checked warm-up results.
+        ``on_pass(spent)`` runs after each pass, outside its timing, with the
+        pass time spent so far."""
         rates, latencies = [], array.array("d")
         spent = 0.0
         while not rates or spent < seconds or (len(latencies) < min_samples and spent < MAX_TIMED_SECONDS):
@@ -188,7 +195,7 @@ class Run:
             rates.append(len(self.items) / wall)
             latencies.extend(pass_latencies)
             if on_pass is not None:
-                on_pass()
+                on_pass(spent)
             for index, (result, expected) in enumerate(zip(results, self.reference)):
                 self.attempted += 1
                 cause = self.causes[index]
@@ -246,24 +253,45 @@ def percentile(samples: list[float], fraction: float) -> float:
     return ordered[min(len(ordered) - 1, int(fraction * len(ordered)))]
 
 
+def windowed_p99(latencies, per_pass: int) -> tuple[float, int]:
+    """The median, over windows of whole consecutive passes that each hold at
+    least MIN_SAMPLES latencies (so at least ten lie beyond each window's
+    p99), of each window's p99; and the number of windows.  A short last
+    window joins the one before.  A burst of machine noise then moves one
+    window's p99, not the run's."""
+    size = per_pass * -(-MIN_SAMPLES // per_pass)
+    count = max(1, len(latencies) // size)
+    bounds = [i * size for i in range(count)] + [len(latencies)]
+    return statistics.median(percentile(latencies[a:b], 0.99) for a, b in zip(bounds, bounds[1:])), count
+
+
 def end_to_end(workload: str, seed: int, seconds: float) -> tuple[dict, Run, list[str], list[str]]:
-    walls, _, setup_causes = setup_runs(SETUP_SPAWNS)
+    cold = ColdStarts()
     run = Run(workload, seed)
-    rates, latencies = run.timed(seconds, min_samples=MIN_SAMPLES)
+
+    # The cold starts are spread over the timed run, between passes, so that
+    # their median sees the same machine as the passes do.
+    def on_pass(spent):
+        due = SETUP_SPAWNS * min(spent / seconds, 1.0)
+        while len(cold.walls) < due:
+            cold.run()
+
+    rates, latencies = run.timed(seconds, on_pass=on_pass, min_samples=MIN_SAMPLES)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # before sorting the samples
+    p99, windows = windowed_p99(latencies, len(run.items))
     metrics = {
-        "setup_s": (statistics.median(walls), "s"),
+        "setup_s": (statistics.median(cold.walls), "s"),
         "items_per_s": (statistics.median(rates), "1/s"),
         "item_p50_ms": (percentile(latencies, 0.50) * 1e3, "ms"),
-        "item_p99_ms": (percentile(latencies, 0.99) * 1e3, "ms"),
+        "item_p99_ms": (p99 * 1e3, "ms"),
         "peak_rss_mb": (peak_rss_mb, "MB"),
     }
     notes = [
         f"items per pass {len(run.items)}, passes {len(rates)}, latency samples {len(latencies)}, "
-        f"setup runs {len(walls)}",
+        f"p99 windows {windows}, cold starts {len(cold.walls)}",
         f"fail_ratio {run.failed / max(run.attempted, 1):.6f} ratio ({run.failed} of {run.attempted} items)",
     ]
-    return metrics, run, notes, setup_causes
+    return metrics, run, notes, cold.causes
 
 
 def per_layer(workload: str, seed: int, seconds: float) -> tuple[dict, Run, list[str], list[str]]:
@@ -271,7 +299,8 @@ def per_layer(workload: str, seed: int, seconds: float) -> tuple[dict, Run, list
     import workloads
 
     interpreter = [spawn("pass")[0] for _ in range(TRACE_SETUP_SPAWNS)]
-    _, inner, setup_causes = setup_runs(TRACE_SETUP_SPAWNS)
+    cold = ColdStarts()
+    cold.run(TRACE_SETUP_SPAWNS)
     run = Run(workload, seed)
 
     # Untraced and traced passes alternate, so that both see the same
@@ -280,7 +309,7 @@ def per_layer(workload: str, seed: int, seconds: float) -> tuple[dict, Run, list
     passes, kept = [], []
     untraced_rates, traced_rates = [], []
 
-    def on_pass():
+    def on_pass(spent):
         pass_spans, counts = tracer.take_pass()
         if not kept:
             kept.extend(pass_spans)
@@ -300,8 +329,8 @@ def per_layer(workload: str, seed: int, seconds: float) -> tuple[dict, Run, list
 
     metrics = {
         "setup.interpreter_ms": (statistics.median(interpreter) * 1e3, "ms"),
-        "setup.import_ms": (statistics.median(i for i, _ in inner) * 1e3 if inner else 0.0, "ms"),
-        "setup.first_command_ms": (statistics.median(c for _, c in inner) * 1e3 if inner else 0.0, "ms"),
+        "setup.import_ms": (statistics.median(i for i, _ in cold.inner) * 1e3 if cold.inner else 0.0, "ms"),
+        "setup.first_command_ms": (statistics.median(c for _, c in cold.inner) * 1e3 if cold.inner else 0.0, "ms"),
     }
     for name in passes[0]:
         unit = "ms" if name.endswith("_ms") else "ratio" if name.endswith("_ratio") else "count"
@@ -313,7 +342,7 @@ def per_layer(workload: str, seed: int, seconds: float) -> tuple[dict, Run, list
         f"per pass over {len(run.items)} items (median over traced passes)",
         f"spans of the first traced pass: {os.path.relpath(spans_path, ROOT)}",
     ]
-    return metrics, run, notes, setup_causes
+    return metrics, run, notes, cold.causes
 
 
 def main(argv=None) -> int:
