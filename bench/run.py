@@ -20,9 +20,12 @@ from __future__ import annotations
 
 import argparse
 import array
+import bisect
 import gc
 import hashlib
+import itertools
 import json
+import math
 import os
 import random
 import resource
@@ -42,6 +45,8 @@ SETUP_SPAWNS = 31
 TRACE_SETUP_SPAWNS = 7
 MIN_SAMPLES = 1000  # at least ten latency samples beyond p99
 MAX_TIMED_SECONDS = 120.0
+CALIBRATE_EVERY_S = 0.005
+REFERENCE_CALIBRATION_S = 1e-4  # the calibration loop's time at the reference speed
 
 # A cold `grossone eval 1`: a fresh interpreter imports the CLI and runs one
 # command.  It reports its own import and command times on stderr.
@@ -71,21 +76,76 @@ def spawn(code: str) -> tuple[float, subprocess.CompletedProcess]:
     return time.perf_counter() - start, done
 
 
-class ColdStarts:
-    """Cold `grossone eval 1` runs: their wall times, the children's own
-    import and command times, and a failure cause for each run that did not
-    print ``1``.  One unmeasured run first fills the bytecode cache."""
+def calibration_loop() -> int:
+    """Fixed work that uses no grossone code: small-integer, list, dict and
+    big-integer operations, about 0.1 ms on the development machine."""
+    x, counts, values = 7, {}, []
+    for i in range(150):
+        x = (x * 1103515245 + 12345) % 2147483648
+        counts[x & 31] = counts.get(x & 31, 0) + 1
+        values.append(x >> 7)
+    values.sort()
+    big = 3**300
+    for i in range(20):
+        big = big * 12345678901 // 1000003 + i
+    return big
+
+
+class Speed:
+    """The machine's speed over the run, sampled every CALIBRATE_EVERY_S by
+    timing ``calibration_loop`` between items (outside their timing).
+
+    ``scale(start)`` is the reference time of the loop divided by the median
+    of its four samples nearest to ``start`` (two before, two after).  A time
+    multiplied by it is the time at the reference speed, so that a period in
+    which the shared machine runs everything slower does not show as a slower
+    program."""
 
     def __init__(self):
+        self.ends = array.array("d")
+        self.times = array.array("d")
+        self.sample()
+
+    def sample(self) -> None:
+        start = time.perf_counter()
+        calibration_loop()
+        end = time.perf_counter()
+        self.ends.append(end)
+        self.times.append(end - start)
+
+    def due(self, now: float) -> bool:
+        return now - self.ends[-1] > CALIBRATE_EVERY_S
+
+    def scale(self, start: float) -> float:
+        after = bisect.bisect_left(self.ends, start)
+        return REFERENCE_CALIBRATION_S / statistics.median(self.times[max(0, after - 2):after + 2])
+
+
+class ColdStarts:
+    """Cold `grossone eval 1` runs: their wall times as measured and scaled
+    to the reference speed (with two calibration samples just before and two
+    just after each spawn), the children's own import and command times, and
+    a failure cause for each run that did not print ``1``.  One unmeasured
+    run first fills the bytecode cache."""
+
+    def __init__(self, speed: Speed):
         spawn(SETUP_CHILD)
+        self.speed = speed
         self.walls: list[float] = []
+        self.scaled: list[float] = []
         self.inner: list[tuple[float, float]] = []
         self.causes: list[str] = []
 
     def run(self, count: int = 1) -> None:
         for _ in range(count):
+            self.speed.sample()
+            self.speed.sample()
+            start = time.perf_counter()
             wall, done = spawn(SETUP_CHILD)
+            self.speed.sample()
+            self.speed.sample()
             self.walls.append(wall)
+            self.scaled.append(wall * self.speed.scale(start))
             if done.returncode != 0 or done.stdout != "1\n":
                 self.causes.append(f"cold start: `grossone eval 1` exited {done.returncode} printing {done.stdout!r}")
                 continue
@@ -120,21 +180,25 @@ class Crash:
         return self.cause
 
 
-def run_pass(items, call=None) -> tuple[list, list[float], float]:
-    """Run every item once, in order; returns results, per-item seconds and
-    the pass's wall time.  ``call(i, fn)`` wraps each item (the tracer)."""
+def run_pass(items, call=None, speed: Speed | None = None) -> tuple[list, array.array, array.array]:
+    """Run every item once, in order; returns results, per-item start times
+    and per-item seconds.  ``call(i, fn)`` wraps each item (the tracer).
+    ``speed`` is sampled between items when it is due."""
     clock = time.perf_counter
-    results, latencies = [], []
-    pass_start = clock()
+    results, starts, latencies = [], array.array("d"), array.array("d")
     for index, item in enumerate(items):
         start = clock()
         try:
             result = item.run() if call is None else call(index, item.run)
         except Exception as exc:  # a crash is a failed item, not a failed run
             result = Crash(exc)
-        latencies.append(clock() - start)
+        end = clock()
+        starts.append(start)
+        latencies.append(end - start)
         results.append(result)
-    return results, latencies, clock() - pass_start
+        if speed is not None and speed.due(end):
+            speed.sample()
+    return results, starts, latencies
 
 
 def check_items(items, results) -> list[str | None]:
@@ -181,19 +245,21 @@ class Run:
         self.failed = 0
         self.failures: dict[int, str] = {}
 
-    def timed(self, seconds: float, call=None, on_pass=None, min_samples: int = 0):
+    def timed(self, seconds: float, call=None, on_pass=None, min_samples: int = 0, speed: Speed | None = None):
         """Repeat the item list for ``seconds`` (and until ``min_samples``
-        latencies exist); returns the per-pass item rates and all latencies.
-        Each pass's results must equal the checked warm-up results.
-        ``on_pass(spent)`` runs after each pass, outside its timing, with the
-        pass time spent so far."""
-        rates, latencies = [], array.array("d")
+        latencies exist); returns each pass's item start times and
+        latencies.  Each pass's results must equal the checked warm-up
+        results.  ``on_pass(spent)`` runs after each pass, outside its
+        timing, with the pass time spent so far."""
+        passes = []
         spent = 0.0
-        while not rates or spent < seconds or (len(latencies) < min_samples and spent < MAX_TIMED_SECONDS):
-            results, pass_latencies, wall = run_pass(self.items, call)
-            spent += wall
-            rates.append(len(self.items) / wall)
-            latencies.extend(pass_latencies)
+        while not passes or spent < seconds or (
+            len(passes) * len(self.items) < min_samples and spent < MAX_TIMED_SECONDS
+        ):
+            start = time.perf_counter()
+            results, starts, latencies = run_pass(self.items, call, speed)
+            spent += time.perf_counter() - start
+            passes.append((starts, latencies))
             if on_pass is not None:
                 on_pass(spent)
             for index, (result, expected) in enumerate(zip(results, self.reference)):
@@ -204,7 +270,12 @@ class Run:
                 if cause is not None:
                     self.failed += 1
                     self.failures.setdefault(index, cause)
-        return rates, latencies
+        return passes
+
+
+def rate(latencies) -> float:
+    """Items per second of one pass: its item count over its items' time."""
+    return len(latencies) / math.fsum(latencies)
 
 
 def shape_metrics(run: Run) -> dict:
@@ -266,7 +337,8 @@ def windowed_p99(latencies, per_pass: int) -> tuple[float, int]:
 
 
 def end_to_end(workload: str, seed: int, seconds: float) -> tuple[dict, Run, list[str], list[str]]:
-    cold = ColdStarts()
+    speed = Speed()
+    cold = ColdStarts(speed)
     run = Run(workload, seed)
 
     # The cold starts are spread over the timed run, between passes, so that
@@ -276,20 +348,30 @@ def end_to_end(workload: str, seed: int, seconds: float) -> tuple[dict, Run, lis
         while len(cold.walls) < due:
             cold.run()
 
-    rates, latencies = run.timed(seconds, on_pass=on_pass, min_samples=MIN_SAMPLES)
+    passes = run.timed(seconds, on_pass=on_pass, min_samples=MIN_SAMPLES, speed=speed)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # before sorting the samples
+    speed.sample()  # so that the last items have samples after them
+    scaled = [array.array("d", (t * speed.scale(s) for s, t in zip(*one))) for one in passes]
+    latencies = array.array("d", itertools.chain.from_iterable(scaled))
+    raw = array.array("d", itertools.chain.from_iterable(l for _, l in passes))
     p99, windows = windowed_p99(latencies, len(run.items))
     metrics = {
-        "setup_s": (statistics.median(cold.walls), "s"),
-        "items_per_s": (statistics.median(rates), "1/s"),
+        "setup_s": (statistics.median(cold.scaled), "s"),
+        "items_per_s": (statistics.median(map(rate, scaled)), "1/s"),
         "item_p50_ms": (percentile(latencies, 0.50) * 1e3, "ms"),
         "item_p99_ms": (p99 * 1e3, "ms"),
         "peak_rss_mb": (peak_rss_mb, "MB"),
     }
     notes = [
-        f"items per pass {len(run.items)}, passes {len(rates)}, latency samples {len(latencies)}, "
+        f"items per pass {len(run.items)}, passes {len(passes)}, latency samples {len(latencies)}, "
         f"p99 windows {windows}, cold starts {len(cold.walls)}",
         f"fail_ratio {run.failed / max(run.attempted, 1):.6f} ratio ({run.failed} of {run.attempted} items)",
+        f"calibration: {len(speed.times)} samples, median {statistics.median(speed.times) * 1e3:.4f} ms "
+        f"(reference {REFERENCE_CALIBRATION_S * 1e3:g} ms); times above are scaled to the reference speed",
+        f"as measured, unscaled: setup_s {statistics.median(cold.walls):.6g} s, "
+        f"items_per_s {statistics.median(rate(l) for _, l in passes):.6g} 1/s, "
+        f"item_p50_ms {percentile(raw, 0.50) * 1e3:.6g} ms, "
+        f"item_p99_ms {windowed_p99(raw, len(run.items))[0] * 1e3:.6g} ms",
     ]
     return metrics, run, notes, cold.causes
 
@@ -299,7 +381,7 @@ def per_layer(workload: str, seed: int, seconds: float) -> tuple[dict, Run, list
     import workloads
 
     interpreter = [spawn("pass")[0] for _ in range(TRACE_SETUP_SPAWNS)]
-    cold = ColdStarts()
+    cold = ColdStarts(Speed())
     cold.run(TRACE_SETUP_SPAWNS)
     run = Run(workload, seed)
 
@@ -317,10 +399,10 @@ def per_layer(workload: str, seed: int, seconds: float) -> tuple[dict, Run, list
 
     start = time.perf_counter()
     while not passes or time.perf_counter() - start < seconds:
-        untraced_rates += run.timed(0)[0]
+        untraced_rates += [rate(latencies) for _, latencies in run.timed(0)]
         tracer.install(workloads)
         try:
-            traced_rates += run.timed(0, call=tracer.run_item, on_pass=on_pass)[0]
+            traced_rates += [rate(latencies) for _, latencies in run.timed(0, call=tracer.run_item, on_pass=on_pass)]
         finally:
             tracer.uninstall()
     OUT.mkdir(parents=True, exist_ok=True)

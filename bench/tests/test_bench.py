@@ -4,6 +4,7 @@ follow the seed, and tracing leaves results and module names unchanged.
 Run from the repository root:  python -m pytest -q bench/tests
 """
 
+import array
 import json
 import random
 import sys
@@ -100,3 +101,11 @@ def test_metric_names_match_benchmark_json():
     for metrics, kind in ((end_to_end, "end_to_end"), (per_layer, "per_layer")):
         units = {m["name"]: m["unit"] for m in declared[kind]}
         assert {name: unit for name, (_, unit) in metrics.items()} == units
+
+
+def test_scale_follows_the_nearest_calibration_samples():
+    speed = run.Speed()
+    speed.ends = array.array("d", [1, 2, 3, 4, 5, 6])
+    speed.times = array.array("d", [1e-4, 1e-4, 2e-4, 2e-4, 2e-4, 2e-4])
+    assert speed.scale(0.5) == pytest.approx(1.0)  # the loop ran at the reference speed
+    assert speed.scale(4.5) == pytest.approx(0.5)  # it ran twice as slow: halve the time
