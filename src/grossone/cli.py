@@ -152,7 +152,13 @@ def cmd_sum(args, config: SessionConfig) -> int:
         k = as_int(upper)
         if k is None or k < 0:
             raise
-        value = _brute_force_sum(summand, args.var, k, args.alternating)
+        value = summation.sum_finite_generic(
+            summand,
+            k,
+            var=args.var,
+            alternating=args.alternating,
+            div_max_terms=config.div_max_terms,
+        )
     else:
         if args.alternating:
             value = summation.sum_alternating_polynomial(poly, upper)
@@ -160,19 +166,6 @@ def cmd_sum(args, config: SessionConfig) -> int:
             value = summation.sum_polynomial(poly, upper)
     print(_render(value, config))
     return 0
-
-
-def _brute_force_sum(summand: Ast, var: str, k: int, alternating: bool):
-    from .core import ZERO, from_int
-
-    env = Env()
-    total = ZERO
-    for i in range(1, k + 1):
-        item = evaluate(summand, env.bind(var, from_int(i)))
-        if alternating and i % 2 == 0:
-            item = -item
-        total = total + item
-    return total
 
 
 def cmd_prob(args, config: SessionConfig) -> int:
@@ -292,8 +285,12 @@ class _Session:
 def cmd_repl(args, config: SessionConfig) -> int:
     session = _Session(config)
     if args.script:
-        with open(args.script, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
+        try:
+            with open(args.script, encoding="utf-8") as handle:
+                lines = handle.read().splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"error: cannot read script: {exc}", file=sys.stderr)
+            return 1
         for line in lines:
             if not session.handle(line):
                 break

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cmp_to_key
+from math import lcm
 from typing import Iterable, NamedTuple, Tuple, Union
 
 from .errors import (
@@ -309,9 +310,38 @@ def subtract(x: GrossNumber, y: GrossNumber) -> GrossNumber:
 
 def multiply(x: GrossNumber, y: GrossNumber) -> GrossNumber:
     """Exact convolution: every term pair multiplies coefficients and adds
-    exponents, then like exponents merge."""
+    exponents, then like exponents merge.
+
+    Three paths, chosen from the operands:
+
+    * one operand has a single term: a monomial shift.  Adding a fixed
+      grosspower keeps the other operand's exponents strictly decreasing
+      (the exponents form an ordered group), so its terms, scaled and
+      shifted, are already canonical; no merge or sort is needed.
+    * every grosspower of both operands is a plain rational: the
+      convolution runs on integer exponent keys (see ``_int_keyed``).
+    * otherwise: exponents are added as gross-numbers, merged in a dict
+      keyed by exponent and sorted by ``compare``.
+    """
     if not x.terms or not y.terms:
         return ZERO
+    if len(x.terms) == 1:
+        x, y = y, x
+    if len(y.terms) == 1:
+        cy, py = y.terms[0]
+        return GrossNumber(tuple(GrossTerm(cx * cy, add(px, py)) for cx, px in x.terms))
+    keyed = _int_keyed(x, y)
+    if keyed is not None:
+        denominator, xs, ys = keyed
+        products: dict[int, Fraction] = {}
+        for kx, cx in xs:
+            for ky, cy in ys:
+                key = kx + ky
+                c = cx * cy
+                previous = products.get(key)
+                products[key] = c if previous is None else previous + c
+        kept = sorted(((k, c) for k, c in products.items() if c.numerator), reverse=True)
+        return _from_int_keyed(denominator, kept)
     merged: dict[GrossNumber, Fraction] = {}
     for tx in x.terms:
         cx, px = tx
@@ -321,6 +351,39 @@ def multiply(x: GrossNumber, y: GrossNumber) -> GrossNumber:
             previous = merged.get(exponent)
             merged[exponent] = c if previous is None else previous + c
     return _sorted_terms(merged)
+
+
+def _int_keyed(x: GrossNumber, y: GrossNumber):
+    """Both operands with integer exponent keys, or None.
+
+    Returns ``(L, xs, ys)`` where ``L`` is the lcm of the denominators of
+    all grosspowers and ``xs``/``ys`` list each operand's terms as
+    ``(key, coefficient)`` with grosspower ``key / L``, keys strictly
+    decreasing.  None when some grosspower is not a plain rational.
+    """
+    powers = []
+    for c, p in x.terms + y.terms:
+        pt = p.terms
+        if not pt:
+            powers.append((_ZERO_FRACTION, c))
+        elif len(pt) == 1 and not pt[0].exponent.terms:
+            powers.append((pt[0].coefficient, c))
+        else:
+            return None
+    denominator = lcm(*[q.denominator for q, _ in powers])
+    keyed = [(q.numerator * (denominator // q.denominator), c) for q, c in powers]
+    split = len(x.terms)
+    return denominator, keyed[:split], keyed[split:]
+
+
+def _from_int_keyed(denominator: int, keyed: list) -> GrossNumber:
+    """The gross-number of ``(key, coefficient)`` pairs, keys strictly
+    decreasing and coefficients nonzero; key 0 maps to the shared ZERO
+    exponent, so finite results hash like their rational value."""
+    return GrossNumber(tuple(
+        GrossTerm(c, GrossNumber((GrossTerm(Fraction(k, denominator), ZERO),)) if k else ZERO)
+        for k, c in keyed
+    ))
 
 
 def scalar_mul(q: RationalLike, x: GrossNumber) -> GrossNumber:
@@ -419,11 +482,20 @@ def divide(x: GrossNumber, y: GrossNumber, max_terms: int = DEFAULT_DIV_TERMS) -
     Quotient terms come out in strictly decreasing exponent order until the
     remainder vanishes or ``max_terms`` terms have been emitted.  The
     identity ``x == quotient * y + remainder`` always holds exactly.
+
+    Each step subtracts ``step * y`` for a one-term ``step``, which is the
+    monomial shift of ``multiply``.  When every grosspower of x and y is a
+    plain rational the whole division runs on integer exponent keys (see
+    ``_int_keyed``) and converts back to gross-numbers once at the end;
+    otherwise each step works on gross-numbers.
     """
     if not y.terms:
         raise DivisionByZero("division by zero")
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
+    keyed = _int_keyed(x, y)
+    if keyed is not None:
+        return _divide_int_keyed(*keyed, max_terms)
     lead = y.terms[0]
     quotient_terms: list[GrossTerm] = []
     remainder = x
@@ -436,6 +508,49 @@ def divide(x: GrossNumber, y: GrossNumber, max_terms: int = DEFAULT_DIV_TERMS) -
         remainder = subtract(remainder, multiply(step, y))
     quotient = GrossNumber(tuple(quotient_terms))
     return DivResult(quotient, remainder, exact=not remainder.terms, terms_emitted=len(quotient_terms))
+
+
+def _divide_int_keyed(denominator: int, xs: list, ys: list, max_terms: int) -> DivResult:
+    """``divide`` on integer exponent keys.  Each step's leading term
+    cancels exactly, so it is dropped rather than subtracted, and the rest
+    of the remainder merges with the shifted tail of the divisor."""
+    lead_key, lead_coeff = ys[0]
+    tail = ys[1:]
+    quotient = []
+    remainder = xs
+    while remainder and len(quotient) < max_terms:
+        key, coeff = remainder[0]
+        shift = key - lead_key
+        factor = coeff / lead_coeff
+        quotient.append((shift, factor))
+        # merge remainder[1:] with -factor * G1^shift * tail, keys decreasing
+        merged = []
+        i, j = 1, 0
+        n, m = len(remainder), len(tail)
+        while i < n and j < m:
+            ka, ca = remainder[i]
+            kb = tail[j][0] + shift
+            if ka > kb:
+                merged.append(remainder[i])
+                i += 1
+            elif ka < kb:
+                merged.append((kb, -factor * tail[j][1]))
+                j += 1
+            else:
+                c = ca - factor * tail[j][1]
+                if c.numerator:
+                    merged.append((ka, c))
+                i += 1
+                j += 1
+        merged.extend(remainder[i:])
+        merged.extend((k + shift, -factor * c) for k, c in tail[j:])
+        remainder = merged
+    return DivResult(
+        _from_int_keyed(denominator, quotient),
+        _from_int_keyed(denominator, remainder),
+        exact=not remainder,
+        terms_emitted=len(quotient),
+    )
 
 
 def exact_divide(x: GrossNumber, y: GrossNumber, max_terms: int = DEFAULT_DIV_TERMS) -> GrossNumber:

@@ -134,19 +134,28 @@ def sum_alternating_polynomial(p: PolynomialSummand, k: GrossNumber) -> GrossNum
 
 
 def sum_finite_generic(
-    expr: Ast, k: int, env: Env | None = None, *, var: str = "i"
+    expr: Ast,
+    k: int,
+    env: Env | None = None,
+    *,
+    var: str = "i",
+    alternating: bool = False,
+    div_max_terms: int | None = None,
 ) -> GrossNumber:
     """Direct iteration of an arbitrary summand for a machine-size count.
 
     This is the brute-force cross-check for every closed form above, and
-    the fallback for summands with no polynomial closed form.
+    the fallback for summands with no polynomial closed form.  With
+    ``alternating`` the even-indexed items are subtracted; ``div_max_terms``
+    is the division budget of ``evaluate``.
     """
     if k < 0:
         raise ValueError("item count must be >= 0")
     env = env or Env()
     total = ZERO
     for i in range(1, k + 1):
-        total = total + evaluate(expr, env.bind(var, from_int(i)))
+        item = evaluate(expr, env.bind(var, from_int(i)), div_max_terms=div_max_terms)
+        total = total - item if alternating and i % 2 == 0 else total + item
     return total
 
 

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from grossone.cli import main
+from grossone.core import ONE, ZERO, divide
 from grossone.numio import parse_number
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -112,6 +113,21 @@ def test_sum_triangle_at_the_infinite_count(capsys):
 def test_sum_geometric_finite_falls_back_to_iteration(capsys):
     code, out, _ = run(capsys, "sum", "--summand", "2^i", "--upper", "10")
     assert (code, out) == (0, "2046\n")
+
+
+def test_sum_fallback_honours_div_truncate(capsys):
+    code, out, _ = run(capsys, "sum", "--summand", "1/(i+G1)", "--upper", "3", "--div-truncate", "3")
+    assert code == 0
+    G1 = parse_number("G1")
+    expected = sum((divide(ONE, i + G1, 3).quotient for i in (1, 2, 3)), ZERO)
+    assert parse_number(out.strip()) == expected
+    code, _, err = run(capsys, "sum", "--summand", "1/(i+G1)", "--upper", "3")
+    assert code == 3
+
+
+def test_sum_fallback_alternating(capsys):
+    code, out, _ = run(capsys, "sum", "--summand", "2^i", "--alternating", "--upper", "4")
+    assert (code, out) == (0, "-10\n")
 
 
 def test_sum_geometric_infinite_rejected(capsys):
@@ -222,6 +238,13 @@ def test_repl_quit_stops_processing(tmp_path, capsys):
     code, out, _ = run(capsys, "repl", "--script", str(script))
     assert code == 0
     assert out == "2\n"
+
+
+def test_repl_missing_script_is_a_usage_error(tmp_path, capsys):
+    code, out, err = run(capsys, "repl", "--script", str(tmp_path / "missing.txt"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_repl_stdin_pipe(monkeypatch, capsys):

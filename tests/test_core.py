@@ -330,6 +330,92 @@ def test_ring_axioms(a, b, c):
     assert a + negate(a) == ZERO
 
 
+# --------------------------------------- multiply and divide fast paths
+
+# Grosspowers with mixed denominators, so that the integer-keyed lane of
+# multiply and divide needs a common denominator (the lcm of 7, 11, 13).
+_finite_powers = st.builds(
+    Fraction, st.integers(-13, 13), st.sampled_from([1, 2, 7, 11, 13])
+)
+finite_exponent_numbers = st.builds(
+    normalize,
+    st.lists(st.tuples(small_rationals, st.builds(from_rational, _finite_powers)), max_size=8),
+)
+
+
+def reference_multiply(x, y):
+    """The generic convolution: gross-number exponents, merged by normalize."""
+    return normalize(
+        (tx.coefficient * ty.coefficient, add(tx.exponent, ty.exponent))
+        for tx in x.terms
+        for ty in y.terms
+    )
+
+
+def reference_divide(x, y, budget):
+    """Long division that subtracts each step through normalize."""
+    lead = y.terms[0]
+    quotient = []
+    remainder = x
+    while remainder.terms and len(quotient) < budget:
+        top = remainder.terms[0]
+        c = top.coefficient / lead.coefficient
+        p = subtract(top.exponent, lead.exponent)
+        quotient.append((c, p))
+        remainder = normalize(
+            [(t.coefficient, t.exponent) for t in remainder.terms]
+            + [(-c * t.coefficient, add(p, t.exponent)) for t in y.terms]
+        )
+    return DivResult(normalize(quotient), remainder, not remainder.terms, len(quotient))
+
+
+@given(finite_exponent_numbers, finite_exponent_numbers)
+def test_multiply_finite_exponents_matches_reference(x, y):
+    assert multiply(x, y) == reference_multiply(x, y)
+
+
+@given(st.builds(monomial, small_rationals, gross_numbers(max_depth=2)), gross_numbers())
+def test_multiply_monomial_by_nested_matches_reference(m, x):
+    assert multiply(m, x) == reference_multiply(m, x)
+    assert multiply(x, m) == reference_multiply(m, x)
+
+
+def test_multiply_finite_exponents_fixed_cases():
+    root = monomial(1, Fraction(1, 2))
+    assert multiply(root, monomial(1, Fraction(-1, 2))) == 1
+    assert hash(multiply(root, monomial(1, Fraction(-1, 2)))) == hash(1)
+    product = multiply(G1 + 1, G1 - 1)
+    assert product == power_int(G1, 2) - 1
+    assert product.terms[-1].exponent is ZERO
+    assert hash(finite_part(product)) == hash(-1)
+    x = monomial(3, Fraction(1, 7)) - monomial(2, Fraction(-1, 11)) + 1
+    y = monomial(Fraction(1, 2), Fraction(2, 13)) + monomial(5, Fraction(-3, 7))
+    assert multiply(x, y) == reference_multiply(x, y)
+
+
+@given(finite_exponent_numbers, finite_exponent_numbers.filter(bool), st.sampled_from([1, 5, 20]))
+def test_divide_finite_exponents_matches_reference(x, y, budget):
+    assert divide(x, y, budget) == reference_divide(x, y, budget)
+
+
+def test_divide_finite_exponents_fixed_cases():
+    divisor = 1 + monomial(Fraction(1, 3), Fraction(-1, 7)) - monomial(2, Fraction(-3, 11))
+    for budget in (1, 5, 20):
+        assert divide(ONE, divisor, budget) == reference_divide(ONE, divisor, budget)
+    x = power_int(G1 + monomial(1, Fraction(1, 13)), 3)
+    result = divide(x, G1 + monomial(1, Fraction(1, 13)), 20)
+    assert result == DivResult(power_int(G1 + monomial(1, Fraction(1, 13)), 2), ZERO, True, 3)
+
+
+@given(finite_exponent_numbers, gross_numbers().filter(bool), st.sampled_from([1, 5, 20]))
+def test_divide_mixed_operands_matches_reference(x, y, budget):
+    result = divide(x, y, budget)
+    assert result == reference_divide(x, y, budget)
+    assert result.quotient * y + result.remainder == x
+    if x:
+        assert divide(y, x, budget) == reference_divide(y, x, budget)
+
+
 @given(small_rationals, small_rationals)
 def test_finite_arithmetic_matches_fractions(p, q):
     assert as_rational(from_rational(p) + from_rational(q)) == p + q
