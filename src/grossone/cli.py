@@ -8,41 +8,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
-from . import setcalc, summation
-from .core import as_int, as_rational
-from .errors import EvalError, GrossoneError, ParseError, UnsupportedSummand
-from .evaluator import Env, evaluate, exec_statement
-from .numio import (
-    Ast,
-    Call,
-    Compare,
-    DEFAULT_DEPTH_CAP,
-    LetBinding,
-    Var,
-    parse_expression,
-    parse_number,
-    parse_statement,
-    print_canonical,
-)
-from .setcalc import EventClass, ProbabilityModel, ProgressionSet
-
-
-@dataclass(frozen=True)
-class SessionConfig:
-    """Per-invocation settings, all from explicit flags (never the
-    environment, so runs stay reproducible).
-
-    ``div_max_terms`` None means division must be exact; an integer allows
-    truncation to that many quotient terms.  ``print_digits`` None is the
-    exact round-trip format; an integer rounds displayed coefficients.
-    """
-
-    div_max_terms: Optional[int] = None
-    print_digits: Optional[int] = None
-    depth_cap: int = DEFAULT_DEPTH_CAP
+from .errors import GrossoneError, ParseError
+from .evaluator import Env, evaluate_value, exec_statement, render
+from .numio import DEFAULT_DEPTH_CAP, parse_expression, parse_number, parse_statement
+from .setcalc import EventClass, ProbabilityModel, classify_event, event_extent
+from .summation import sum_expression
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -126,164 +98,53 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _render(value, config: SessionConfig) -> str:
-    return print_canonical(value, digits=config.print_digits)
+def _env(args) -> Env:
+    return Env(div_max_terms=args.div_truncate)
 
 
-def cmd_eval(args, config: SessionConfig) -> int:
-    ast = parse_expression(args.expression, depth_cap=config.depth_cap)
-    env = Env()
-    if isinstance(ast, Compare):
-        from .evaluator import evaluate_compare
+def _show(value, args) -> None:
+    if value is not None:
+        print(render(value, args.print_digits))
 
-        print("true" if evaluate_compare(ast, env, div_max_terms=config.div_max_terms) else "false")
-        return 0
-    value = evaluate(ast, env, div_max_terms=config.div_max_terms)
-    print(_render(value, config))
+
+def cmd_eval(args) -> int:
+    expression = parse_expression(args.expression, depth_cap=args.depth_cap)
+    _show(evaluate_value(expression, _env(args)), args)
     return 0
 
 
-def cmd_sum(args, config: SessionConfig) -> int:
-    upper = parse_number(args.upper, depth_cap=config.depth_cap)
-    summand = parse_expression(args.summand, depth_cap=config.depth_cap)
-    try:
-        poly = summation.summand_polynomial(summand, args.var)
-    except UnsupportedSummand:
-        k = as_int(upper)
-        if k is None or k < 0:
-            raise
-        value = summation.sum_finite_generic(
-            summand,
-            k,
-            var=args.var,
-            alternating=args.alternating,
-            div_max_terms=config.div_max_terms,
-        )
-    else:
-        if args.alternating:
-            value = summation.sum_alternating_polynomial(poly, upper)
-        else:
-            value = summation.sum_polynomial(poly, upper)
-    print(_render(value, config))
+def cmd_sum(args) -> int:
+    upper = parse_number(args.upper, depth_cap=args.depth_cap)
+    summand = parse_expression(args.summand, depth_cap=args.depth_cap)
+    env = _env(args)
+    _show(sum_expression(summand, upper, env, var=args.var, alternating=args.alternating), args)
     return 0
 
 
-def cmd_prob(args, config: SessionConfig) -> int:
-    total = parse_number(args.total, depth_cap=config.depth_cap)
-    favorable = parse_number(args.favorable, depth_cap=config.depth_cap)
+def cmd_prob(args) -> int:
+    total = parse_number(args.total, depth_cap=args.depth_cap)
+    favorable = parse_number(args.favorable, depth_cap=args.depth_cap)
     model = ProbabilityModel(total, favorable)
-    print(_render(setcalc.probability(model), config))
-    classification = setcalc.classify_event(model)
+    _show(_env(args).divide(favorable, total), args)
+    classification = classify_event(model)
     print(classification.value)
     if classification is not EventClass.IMPOSSIBLE:
-        print(setcalc.event_extent(favorable).value)
+        print(event_extent(favorable).value)
     return 0
 
 
-_SET_BUILTINS = ("count", "member", "image", "product")
-
-
-class _Session:
-    """REPL state: value/function bindings plus a namespace of named sets.
-
-    The sets N (the naturals, count G1) and E (the even naturals, count
-    G1/2) are predefined; image(S, a, b) builds affine images and can be
-    bound with let.
-    """
-
-    def __init__(self, config: SessionConfig):
-        self.config = config
-        self.env = Env()
-        self.sets: dict[str, ProgressionSet] = {
-            "N": setcalc.NATURALS,
-            "E": setcalc.EVEN_NATURALS,
-        }
-
-    def handle(self, line: str) -> bool:
-        """Run one statement; returns False when the session should end."""
-        text = line.strip()
-        if not text or text.startswith("#"):
-            return True
-        if text == ":quit":
-            return False
+def _prompted_lines():
+    while True:
         try:
-            self._execute(text)
-        except ParseError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-        except GrossoneError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-        return True
-
-    def _execute(self, text: str) -> None:
-        ast = parse_statement(text, depth_cap=self.config.depth_cap)
-        if isinstance(ast, Call) and ast.name in _SET_BUILTINS:
-            self._print_result(self._set_builtin(ast))
+            yield input("g1> ")
+        except EOFError:
+            print()
             return
-        if isinstance(ast, LetBinding) and isinstance(ast.expr, Call) and ast.expr.name == "image":
-            self.sets[ast.name] = self._resolve_set(ast.expr)
-            return
-        self.env, result = exec_statement(
-            ast, self.env, div_max_terms=self.config.div_max_terms
-        )
-        self._print_result(result)
-
-    def _print_result(self, result) -> None:
-        if result is None:
-            return
-        if isinstance(result, bool):
-            print("true" if result else "false")
-        elif isinstance(result, ProgressionSet):
-            print(
-                f"progression(start={_render(result.start, self.config)}, "
-                f"step={result.step}, count={_render(result.count, self.config)})"
-            )
-        else:
-            print(_render(result, self.config))
-
-    def _resolve_set(self, ast: Ast) -> ProgressionSet:
-        if isinstance(ast, Var):
-            if ast.name in self.sets:
-                return self.sets[ast.name]
-            raise EvalError(f"{ast.name} does not name a set")
-        if isinstance(ast, Call) and ast.name == "image":
-            if len(ast.args) != 3:
-                raise EvalError("image takes a set, a scale and an offset")
-            source = self._resolve_set(ast.args[0])
-            scale = self._finite_arg(ast.args[1], "scale")
-            offset = self._finite_arg(ast.args[2], "offset")
-            return setcalc.affine_image(source, scale, offset)
-        raise EvalError("expected a set name or image(...)")
-
-    def _finite_arg(self, ast: Ast, what: str):
-        value = evaluate(ast, self.env, div_max_terms=self.config.div_max_terms)
-        q = as_rational(value)
-        if q is None:
-            raise EvalError(f"the {what} must be a finite rational")
-        return q
-
-    def _set_builtin(self, call: Call):
-        if call.name == "count":
-            if len(call.args) != 1:
-                raise EvalError("count takes one set")
-            return setcalc.count(self._resolve_set(call.args[0]))
-        if call.name == "member":
-            if len(call.args) != 2:
-                raise EvalError("member takes a value and a set")
-            value = evaluate(call.args[0], self.env, div_max_terms=self.config.div_max_terms)
-            return setcalc.member(value, self._resolve_set(call.args[1]))
-        if call.name == "image":
-            return self._resolve_set(call)
-        if call.name == "product":
-            counts = [
-                evaluate(arg, self.env, div_max_terms=self.config.div_max_terms)
-                for arg in call.args
-            ]
-            return setcalc.product_count(counts)
-        raise EvalError(f"unknown builtin {call.name}")
 
 
-def cmd_repl(args, config: SessionConfig) -> int:
-    session = _Session(config)
+def cmd_repl(args) -> int:
+    """Run statements one per line; an error is reported with its
+    position and the session goes on."""
     if args.script:
         try:
             with open(args.script, encoding="utf-8") as handle:
@@ -291,22 +152,25 @@ def cmd_repl(args, config: SessionConfig) -> int:
         except (OSError, UnicodeDecodeError) as exc:
             print(f"error: cannot read script: {exc}", file=sys.stderr)
             return 1
-        for line in lines:
-            if not session.handle(line):
-                break
-    elif sys.stdin.isatty():
-        while True:
-            try:
-                line = input("g1> ")
-            except EOFError:
-                print()
-                break
-            if not session.handle(line):
-                break
+        source = args.script
     else:
-        for line in sys.stdin.read().splitlines():
-            if not session.handle(line):
-                break
+        lines = _prompted_lines() if sys.stdin.isatty() else sys.stdin.read().splitlines()
+        source = "<stdin>"
+    env = _env(args)
+    for lineno, line in enumerate(lines, 1):
+        text = line.strip()
+        if text == ":quit":
+            break
+        if not text or text.startswith("#"):
+            continue
+        try:
+            env, result = exec_statement(parse_statement(text, depth_cap=args.depth_cap), env)
+        except ParseError as exc:
+            print(f"{source}:{lineno}:{exc.column}: {exc.message}", file=sys.stderr)
+        except GrossoneError as exc:
+            print(f"{source}:{lineno}: {exc}", file=sys.stderr)
+        else:
+            _show(result, args)
     return 0
 
 
@@ -320,13 +184,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = SessionConfig(
-        div_max_terms=args.div_truncate,
-        print_digits=args.print_digits,
-        depth_cap=args.depth_cap,
-    )
     try:
-        return _COMMANDS[args.command](args, config)
+        return _COMMANDS[args.command](args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -224,8 +224,9 @@ def classify_event(model: ProbabilityModel) -> EventClass:
         return EventClass.IMPOSSIBLE
     if model.favorable == model.total:
         return EventClass.CERTAIN
-    cls = core.classify(probability(model))
-    if cls is NumClass.INFINITESIMAL:
+    # favorable <= total, so P is infinitesimal exactly when the favorable
+    # count's leading grosspower is below the sample space's
+    if compare(model.favorable.terms[0].exponent, model.total.terms[0].exponent) < 0:
         return EventClass.INFINITESIMAL_PROBABILITY
     return EventClass.FINITE_PROBABILITY
 

@@ -140,23 +140,49 @@ def sum_finite_generic(
     *,
     var: str = "i",
     alternating: bool = False,
-    div_max_terms: int | None = None,
 ) -> GrossNumber:
     """Direct iteration of an arbitrary summand for a machine-size count.
 
     This is the brute-force cross-check for every closed form above, and
     the fallback for summands with no polynomial closed form.  With
-    ``alternating`` the even-indexed items are subtracted; ``div_max_terms``
-    is the division budget of ``evaluate``.
+    ``alternating`` the even-indexed items are subtracted; division follows
+    ``env.divide``.
     """
     if k < 0:
         raise ValueError("item count must be >= 0")
     env = env or Env()
     total = ZERO
     for i in range(1, k + 1):
-        item = evaluate(expr, env.bind(var, from_int(i)), div_max_terms=div_max_terms)
+        item = evaluate(expr, env.bind(var, from_int(i)))
         total = total - item if alternating and i % 2 == 0 else total + item
     return total
+
+
+def sum_expression(
+    expr: Ast,
+    k: GrossNumber,
+    env: Env | None = None,
+    *,
+    var: str = "i",
+    alternating: bool = False,
+) -> GrossNumber:
+    """Sum of the summand ``expr`` for ``var`` = 1..k.
+
+    A summand polynomial in ``var`` is summed in closed form for any count;
+    any other summand is iterated when k is a finite non-negative integer
+    and raises UnsupportedSummand otherwise.
+    """
+    env = env or Env()
+    try:
+        poly = summand_polynomial(expr, var, env)
+    except UnsupportedSummand:
+        count = core.as_int(k)
+        if count is None or count < 0:
+            raise
+        return sum_finite_generic(expr, count, env, var=var, alternating=alternating)
+    if alternating:
+        return sum_alternating_polynomial(poly, k)
+    return sum_polynomial(poly, k)
 
 
 # ----------------------------------------------- summand classification
@@ -193,12 +219,7 @@ def _poly_coefficients(expr: Ast, var: str, env: Env) -> list[GrossNumber]:
             return [a - b for a, b in zip(left, right)]
         if expr.op == "*":
             left = _poly_coefficients(expr.left, var, env)
-            right = _poly_coefficients(expr.right, var, env)
-            out = [ZERO] * (len(left) + len(right) - 1)
-            for a, ca in enumerate(left):
-                for b, cb in enumerate(right):
-                    out[a + b] = out[a + b] + ca * cb
-            return out
+            return _poly_product(left, _poly_coefficients(expr.right, var, env))
         if expr.op == "/":
             if _mentions(expr.right, var):
                 raise UnsupportedSummand(
@@ -206,7 +227,7 @@ def _poly_coefficients(expr: Ast, var: str, env: Env) -> list[GrossNumber]:
                     "no polynomial closed form exists"
                 )
             divisor = evaluate(expr.right, env)
-            return [core.exact_divide(c, divisor) for c in _poly_coefficients(expr.left, var, env)]
+            return [env.divide(c, divisor) for c in _poly_coefficients(expr.left, var, env)]
         if expr.op == "^":
             if _mentions(expr.right, var):
                 raise UnsupportedSummand(
@@ -221,11 +242,7 @@ def _poly_coefficients(expr: Ast, var: str, env: Env) -> list[GrossNumber]:
             out = [ONE]
             base = _poly_coefficients(expr.left, var, env)
             for _ in range(exponent):
-                new = [ZERO] * (len(out) + len(base) - 1)
-                for a, ca in enumerate(out):
-                    for b, cb in enumerate(base):
-                        new[a + b] = new[a + b] + ca * cb
-                out = new
+                out = _poly_product(out, base)
             return out
     if isinstance(expr, Call):
         raise UnsupportedSummand(
@@ -233,6 +250,14 @@ def _poly_coefficients(expr: Ast, var: str, env: Env) -> list[GrossNumber]:
             "no polynomial closed form exists"
         )
     raise UnsupportedSummand(f"summand is not polynomial in {var!r}")
+
+
+def _poly_product(left: list[GrossNumber], right: list[GrossNumber]) -> list[GrossNumber]:
+    out = [ZERO] * (len(left) + len(right) - 1)
+    for a, ca in enumerate(left):
+        for b, cb in enumerate(right):
+            out[a + b] = out[a + b] + ca * cb
+    return out
 
 
 def _mentions(expr: Ast, var: str) -> bool:

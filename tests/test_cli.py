@@ -9,7 +9,9 @@ import pytest
 
 from grossone.cli import main
 from grossone.core import ONE, ZERO, divide
-from grossone.numio import parse_number
+from grossone.evaluator import Env
+from grossone.numio import parse_expression, parse_number
+from grossone.summation import sum_finite_generic
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -81,6 +83,19 @@ def test_eval_depth_cap_flag(capsys):
     assert "nested deeper" in err
 
 
+def test_eval_set_builtins_inside_expressions(capsys):
+    code, out, _ = run(capsys, "eval", "count(image(N, 2, 0))")
+    assert (code, out) == (0, "G1\n")
+
+
+@pytest.mark.parametrize("expression", ["N + 1", "member(1, N) * 2"])
+def test_eval_set_or_boolean_where_a_number_is_needed(capsys, expression):
+    code, out, err = run(capsys, "eval", expression)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.endswith("not a number\n")
+    assert "Traceback" not in err
+
+
 def test_unsupported_exponentiation(capsys):
     code, _, err = run(capsys, "eval", "2^G1")
     assert code == 3
@@ -123,6 +138,16 @@ def test_sum_fallback_honours_div_truncate(capsys):
     assert parse_number(out.strip()) == expected
     code, _, err = run(capsys, "sum", "--summand", "1/(i+G1)", "--upper", "3")
     assert code == 3
+
+
+def test_sum_closed_form_honours_div_truncate(capsys):
+    summand = ("sum", "--summand", "i/(1+G1)", "--div-truncate", "3")
+    code, out, _ = run(capsys, *summand, "--upper", "G1")
+    assert (code, out) == (0, "0.5*G1 + 0.5*G1^{-2}\n")
+    code, out, _ = run(capsys, *summand, "--upper", "3")
+    assert (code, out) == (0, "6*G1^{-1} - 6*G1^{-2} + 6*G1^{-3}\n")
+    brute = sum_finite_generic(parse_expression("i/(1+G1)"), 3, Env(div_max_terms=3))
+    assert parse_number(out.strip()) == brute
 
 
 def test_sum_fallback_alternating(capsys):
@@ -171,6 +196,12 @@ def test_prob_arc(capsys):
     code, out, _ = run(capsys, "prob", "--total", "G1^{2}", "--favorable", "G1")
     assert code == 0
     assert out == "G1^{-1}\nInfinitesimalProbability\nArc\n"
+
+
+def test_prob_honours_div_truncate(capsys):
+    code, out, _ = run(capsys, "prob", "--total", "G1+1", "--favorable", "1", "--div-truncate", "3")
+    assert code == 0
+    assert out == "G1^{-1} - G1^{-2} + G1^{-3}\nInfinitesimalProbability\nPoint\n"
 
 
 def test_prob_invariant_violation(capsys):
@@ -232,6 +263,29 @@ def test_repl_errors_do_not_kill_the_session(tmp_path, capsys):
     assert out == "6\n"
 
 
+def test_repl_script_errors_name_file_and_line(tmp_path, capsys):
+    script = tmp_path / "session.txt"
+    script.write_text("let a = 1\n1 +\nq\n", encoding="utf-8")
+    code, out, err = run(capsys, "repl", "--script", str(script))
+    assert (code, out) == (0, "")
+    assert err.splitlines() == [
+        f"{script}:2:4: expected an expression",
+        f"{script}:3: unbound name q",
+    ]
+
+
+def test_repl_sets_share_the_namespace(tmp_path, capsys):
+    script = tmp_path / "session.txt"
+    script.write_text(
+        "let c = count(N) - count(E)\nc\nlet D = image(N, 2, 0)\nD\nlet N = 5\ncount(N)\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "repl", "--script", str(script))
+    assert code == 0
+    assert out == "0.5*G1\nprogression(start=2, step=2, count=G1)\n"
+    assert err == f"{script}:6: N is not a set\n"
+
+
 def test_repl_quit_stops_processing(tmp_path, capsys):
     script = tmp_path / "session.txt"
     script.write_text("1 + 1\n:quit\n2 + 2\n", encoding="utf-8")
@@ -256,6 +310,17 @@ def test_repl_stdin_pipe(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert captured.out == "0\n"
+
+
+def test_repl_stdin_errors_are_named_stdin(monkeypatch, capsys):
+    import io
+    import sys as _sys
+
+    monkeypatch.setattr(_sys, "stdin", io.StringIO("1\n2 *\n"))
+    code = main(["repl"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (0, "1\n")
+    assert captured.err == "<stdin>:2:4: expected an expression\n"
 
 
 def test_repl_image_binding_prints_nothing_until_queried(tmp_path, capsys):

@@ -26,6 +26,7 @@ from grossone.errors import (
 )
 from grossone.evaluator import (
     Env,
+    evaluate_value,
     ExprFunction,
     PiecewiseBranch,
     PiecewiseFn,
@@ -35,6 +36,7 @@ from grossone.evaluator import (
     exec_statement,
 )
 from grossone.numio import parse_expression, parse_statement
+from grossone.setcalc import NATURALS, affine_image
 
 from support import small_rationals
 
@@ -149,7 +151,7 @@ def test_division_exactness_flag():
     text = "1 / (1 + G1^{-1})"
     with pytest.raises(InexactDivision):
         run(text, Env())
-    truncated = run(text, Env(), div_max_terms=3)
+    truncated = run(text, Env(div_max_terms=3))
     assert truncated == 1 - monomial(1, -1) + monomial(1, -2)
 
 
@@ -191,6 +193,35 @@ def test_env_extension_does_not_mutate():
     with pytest.raises(UnboundName):
         env.lookup("x")
     assert extended.lookup("x") == ONE
+
+
+# -------------------------------------------------------------- sets as values
+
+
+def test_set_builtins_are_numbers_inside_expressions():
+    assert run("count(N) - count(E)", Env()) == scalar_mul(Fraction(1, 2), G1)
+    assert run("count(image(N, 2, 0)) + 1", Env()) == G1 + 1
+    assert run("product(count(N), 2)", Env()) == 2 * G1
+
+
+def test_sets_bind_in_the_shared_namespace():
+    env = session("let D = image(N, 2, 0)")
+    assert env.lookup("D") == affine_image(NATURALS, Fraction(2))
+    assert evaluate_value(parse_expression("member(2*G1, D)"), env) is True
+    assert evaluate_value(parse_expression("D"), env) == env.lookup("D")
+
+
+def test_user_bindings_and_definitions_shadow_predefined_names():
+    env = session("let N = 5", "def count(x) = 2*x")
+    assert run("N + count(3)", env) == from_int(11)
+    with pytest.raises(EvalError, match="N is not a set"):
+        run("member(1, N)", session("let N = 5"))
+
+
+@pytest.mark.parametrize("text", ["N + 1", "member(1, N) * 2", "image(N, 2, 0)", "count(5)"])
+def test_set_or_boolean_where_a_number_is_needed(text):
+    with pytest.raises(EvalError):
+        run(text, Env())
 
 
 # ----------------------------------------------------------- random finite
