@@ -3,6 +3,8 @@ infinite and infinitesimal parts written positionally in base G1 (①), the
 infinite unit defined as the number of elements of the set of natural
 numbers."""
 
+import types as _types
+
 from .core import (
     DEFAULT_DIV_TERMS,
     DivResult,
@@ -43,47 +45,11 @@ from .core import (
 from .errors import GrossoneError
 from .numio import parse_expression, parse_number, parse_statement, print_canonical
 
+# Every public name imported above is re-exported; the submodules are not.
 __all__ = [
-    "DEFAULT_DIV_TERMS",
-    "DivResult",
-    "GROSSONE",
-    "GrossNumber",
-    "GrossTerm",
-    "GrossoneError",
-    "NumClass",
-    "ONE",
-    "Parity",
-    "Rational",
-    "ZERO",
-    "add",
-    "as_gross",
-    "as_int",
-    "as_rational",
-    "classify",
-    "compare",
-    "divide",
-    "exact_divide",
-    "finite_part",
-    "from_int",
-    "from_rational",
-    "has_infinite_part",
-    "has_infinitesimal_part",
-    "is_integer_like",
-    "monomial",
-    "multiply",
-    "negate",
-    "normalize",
-    "parity",
-    "parse_expression",
-    "parse_number",
-    "parse_statement",
-    "power_gross",
-    "power_int",
-    "print_canonical",
-    "reciprocal",
-    "scalar_mul",
-    "sign",
-    "subtract",
+    name
+    for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
 ]
 
 __version__ = "0.1.0"

@@ -12,7 +12,7 @@ from typing import Optional
 
 from .errors import GrossoneError, ParseError
 from .evaluator import Env, evaluate_value, exec_statement, render
-from .numio import DEFAULT_DEPTH_CAP, parse_expression, parse_number, parse_statement
+from .numio import parse_expression, parse_number, parse_statement
 from .setcalc import EventClass, ProbabilityModel, classify_event, event_extent
 from .summation import sum_expression
 
@@ -55,13 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="exact|decimal:D",
         default=None,
         help="output format (default exact, which re-parses to the same value)",
-    )
-    common.add_argument(
-        "--depth-cap",
-        type=_positive_int,
-        metavar="N",
-        default=DEFAULT_DEPTH_CAP,
-        help="maximum nesting depth of exponent braces",
     )
 
     parser = _ArgumentParser(
@@ -108,22 +101,22 @@ def _show(value, args) -> None:
 
 
 def cmd_eval(args) -> int:
-    expression = parse_expression(args.expression, depth_cap=args.depth_cap)
+    expression = parse_expression(args.expression)
     _show(evaluate_value(expression, _env(args)), args)
     return 0
 
 
 def cmd_sum(args) -> int:
-    upper = parse_number(args.upper, depth_cap=args.depth_cap)
-    summand = parse_expression(args.summand, depth_cap=args.depth_cap)
+    upper = parse_number(args.upper)
+    summand = parse_expression(args.summand)
     env = _env(args)
     _show(sum_expression(summand, upper, env, var=args.var, alternating=args.alternating), args)
     return 0
 
 
 def cmd_prob(args) -> int:
-    total = parse_number(args.total, depth_cap=args.depth_cap)
-    favorable = parse_number(args.favorable, depth_cap=args.depth_cap)
+    total = parse_number(args.total)
+    favorable = parse_number(args.favorable)
     model = ProbabilityModel(total, favorable)
     _show(_env(args).divide(favorable, total), args)
     classification = classify_event(model)
@@ -164,7 +157,7 @@ def cmd_repl(args) -> int:
         if not text or text.startswith("#"):
             continue
         try:
-            env, result = exec_statement(parse_statement(text, depth_cap=args.depth_cap), env)
+            env, result = exec_statement(parse_statement(text), env)
         except ParseError as exc:
             print(f"{source}:{lineno}:{exc.column}: {exc.message}", file=sys.stderr)
         except GrossoneError as exc:

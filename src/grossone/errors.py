@@ -61,7 +61,8 @@ class UnknownCharacter(ParseError):
 
 
 class DepthLimitExceeded(ParseError):
-    """Exponent braces nested deeper than the configured cap."""
+    """Input nested deeper than ``numio.MAX_NESTING`` levels; the position
+    is that of the token that opens the level one too deep."""
 
 
 # ---------------------------------------------------------------- evaluation

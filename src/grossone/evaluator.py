@@ -31,6 +31,7 @@ from .numio import (
     PiecewiseDef,
     Unary,
     Var,
+    operator_chain,
     print_canonical,
 )
 from .setcalc import (
@@ -137,19 +138,21 @@ def evaluate(ast: Ast, env: Env) -> GrossNumber:
     if isinstance(ast, Unary):
         return core.negate(evaluate(ast.operand, env))
     if isinstance(ast, Binary):
-        left = evaluate(ast.left, env)
-        right = evaluate(ast.right, env)
-        if ast.op == "+":
-            return core.add(left, right)
-        if ast.op == "-":
-            return core.subtract(left, right)
-        if ast.op == "*":
-            return core.multiply(left, right)
-        if ast.op == "/":
-            return env.divide(left, right)
         if ast.op == "^":
-            return core.power_gross(left, right)
-        raise EvalError(f"unknown operator {ast.op!r}")
+            return core.power_gross(evaluate(ast.left, env), evaluate(ast.right, env))
+        first, rest = operator_chain(ast)
+        value = evaluate(first, env)
+        for op, operand in rest:
+            right = evaluate(operand, env)
+            if op == "+":
+                value = core.add(value, right)
+            elif op == "-":
+                value = core.subtract(value, right)
+            elif op == "*":
+                value = core.multiply(value, right)
+            else:
+                value = env.divide(value, right)
+        return value
     if isinstance(ast, Call):
         return _number(_call(ast, env), f"{ast.name}(...)")
     if isinstance(ast, Compare):
@@ -276,6 +279,7 @@ def render(value: Value, digits: Optional[int] = None) -> str:
         return "true" if value else "false"
     if isinstance(value, ProgressionSet):
         start = print_canonical(value.start, digits=digits)
+        step = print_canonical(core.from_rational(value.step), digits=digits)
         size = print_canonical(value.count, digits=digits)
-        return f"progression(start={start}, step={value.step}, count={size})"
+        return f"progression(start={start}, step={step}, count={size})"
     return print_canonical(value, digits=digits)

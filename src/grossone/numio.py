@@ -10,12 +10,16 @@ alias).  Number literals::
 
 so ``17.21*G1^{52.4*G1 - 72.1} + 134*G1^{81.43} + 7.02`` is a three-term
 numeral.  A bare coefficient means ``c*G1^0``; a bare ``G1`` means
-``1*G1^1``.  Exponent braces nest up to a configurable depth cap.
+``1*G1^1``.  ``integer '/' integer`` may have spaces around the slash.
 
 Expressions add variables, calls, parentheses and operators with
 precedence ``^`` (right-associative) over unary minus over ``* /`` over
 ``+ -`` over comparisons.  After ``^`` a braced group is allowed, so
 ``G1^{-1}`` works the same in literals and expressions.
+
+Input nests at most ``MAX_NESTING`` levels: ``(``, a call's arguments,
+``{``, the operand of unary minus and the right operand of ``^`` each open
+one (``^{`` opens one, not two).  Chains of ``+ - * /`` do not nest.
 
 Statements (one per line in session scripts; '#' starts a comment)::
 
@@ -34,19 +38,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from . import core
 from .core import GrossNumber, ONE, ZERO, from_rational, normalize
 from .errors import DepthLimitExceeded, ParseError, UnknownCharacter
 
-DEFAULT_DEPTH_CAP = 8
+MAX_NESTING = 100
 
 _KEYWORDS = frozenset({"let", "def", "if"})
 
 
 class TokenKind(Enum):
-    RATIONAL_LIT = "rational"
     DECIMAL_LIT = "decimal"
     GROSSONE = "grossone"
     IDENT = "ident"
@@ -96,13 +99,8 @@ _SINGLE_CHAR = {
 }
 
 
-def lex(text: str, *, fraction_literals: bool = False) -> list[Token]:
-    """Tokenize UTF-8 text; error positions are 1-based line/column.
-
-    With ``fraction_literals`` enabled (the number-literal grammar),
-    adjacent ``digits/digits`` becomes a single rational token; otherwise
-    '/' is always the division operator.
-    """
+def lex(text: str) -> list[Token]:
+    """Tokenize UTF-8 text; error positions are 1-based line/column."""
     tokens: list[Token] = []
     line, column = 1, 1
     i = 0
@@ -123,24 +121,11 @@ def lex(text: str, *, fraction_literals: bool = False) -> list[Token]:
             j = i
             while j < n and "0" <= text[j] <= "9":
                 j += 1
-            kind = TokenKind.DECIMAL_LIT
             if j < n and text[j] == "." and j + 1 < n and "0" <= text[j + 1] <= "9":
                 j += 1
                 while j < n and "0" <= text[j] <= "9":
                     j += 1
-            elif (
-                fraction_literals
-                and j < n
-                and text[j] == "/"
-                and j + 1 < n
-                and "0" <= text[j + 1] <= "9"
-            ):
-                j += 1
-                while j < n and "0" <= text[j] <= "9":
-                    j += 1
-                kind = TokenKind.RATIONAL_LIT
-            lexeme = text[i:j]
-            tokens.append(Token(kind, lexeme, start_line, start_column))
+            tokens.append(Token(TokenKind.DECIMAL_LIT, text[i:j], start_line, start_column))
             column += j - i
             i = j
             continue
@@ -259,6 +244,17 @@ class LetBinding(Ast):
     expr: Ast
 
 
+def operator_chain(ast: Ast) -> tuple[Ast, list[tuple[str, Ast]]]:
+    """The first operand of a ``+ - * /`` chain and the ``(operator,
+    operand)`` pairs after it, in order: a loop walks the left spine."""
+    rest: list[tuple[str, Ast]] = []
+    while isinstance(ast, Binary) and ast.op != "^":
+        rest.append((ast.op, ast.right))
+        ast = ast.left
+    rest.reverse()
+    return ast, rest
+
+
 _RELOP_TOKENS = {
     TokenKind.LT: "<",
     TokenKind.LE: "<=",
@@ -269,10 +265,10 @@ _RELOP_TOKENS = {
 
 
 class _TokenStream:
-    def __init__(self, tokens: list[Token], depth_cap: int):
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.index = 0
-        self.depth_cap = depth_cap
+        self.depth = -1  # the outermost operand is level 0
 
     def peek(self) -> Token:
         return self.tokens[self.index]
@@ -302,72 +298,74 @@ class _TokenStream:
         token = self.peek()
         return ParseError(message, token.line, token.column)
 
-
-def _token_fraction(token: Token) -> Fraction:
-    if token.kind is TokenKind.RATIONAL_LIT:
-        numerator, denominator = token.lexeme.split("/")
-        if int(denominator) == 0:
-            raise ParseError("zero denominator in rational literal", token.line, token.column)
-        return Fraction(int(numerator), int(denominator))
-    return Fraction(token.lexeme)
+    def nest(self) -> None:
+        """Open a level (the caller closes it with ``depth -= 1``); every
+        recursive production passes through here."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            opener = self.tokens[self.index - 1]
+            raise DepthLimitExceeded(f"nested deeper than {MAX_NESTING}", opener.line, opener.column)
 
 
 # ------------------------------------------------------- number literals
 
 
-def parse_number(text: str, *, depth_cap: int = DEFAULT_DEPTH_CAP) -> GrossNumber:
+def parse_number(text: str) -> GrossNumber:
     """Parse a gross-number literal to its canonical value.
 
     >>> parse_number("G1^{2} - 2*G1 + 0.5") == (
     ...     core.GROSSONE ** 2 - 2 * core.GROSSONE + Fraction(1, 2))
     True
     """
-    stream = _TokenStream(lex(text, fraction_literals=True), depth_cap)
-    value = _parse_literal(stream, 0)
+    return _parse_whole(text, _parse_literal)
+
+
+def _parse_whole(text: str, production: Callable[[_TokenStream], Any]) -> Any:
+    stream = _TokenStream(lex(text))
+    result = production(stream)
     stream.expect(TokenKind.EOF, "end of input")
-    return value
+    return result
 
 
-def _parse_literal(stream: _TokenStream, depth: int) -> GrossNumber:
+def _parse_literal(stream: _TokenStream) -> GrossNumber:
+    stream.nest()
     pairs: list[tuple[Fraction, GrossNumber]] = []
-    sign = Fraction(1)
-    token = stream.match(TokenKind.PLUS, TokenKind.MINUS)
-    if token is not None and token.kind is TokenKind.MINUS:
-        sign = Fraction(-1)
+    sign = stream.match(TokenKind.PLUS, TokenKind.MINUS)
     while True:
-        coefficient, exponent = _parse_literal_term(stream, depth)
-        pairs.append((sign * coefficient, exponent))
-        token = stream.match(TokenKind.PLUS, TokenKind.MINUS)
-        if token is None:
+        coefficient, exponent = _parse_literal_term(stream)
+        if sign is not None and sign.kind is TokenKind.MINUS:
+            coefficient = -coefficient
+        pairs.append((coefficient, exponent))
+        sign = stream.match(TokenKind.PLUS, TokenKind.MINUS)
+        if sign is None:
             break
-        sign = Fraction(-1) if token.kind is TokenKind.MINUS else Fraction(1)
+    stream.depth -= 1
     return normalize(pairs)
 
 
-def _parse_literal_term(stream: _TokenStream, depth: int) -> tuple[Fraction, GrossNumber]:
+def _parse_literal_term(stream: _TokenStream) -> tuple[Fraction, GrossNumber]:
     token = stream.peek()
-    if token.kind in (TokenKind.RATIONAL_LIT, TokenKind.DECIMAL_LIT):
-        stream.advance()
-        coefficient = _token_fraction(token)
-        if stream.match(TokenKind.STAR):
-            return coefficient, _parse_literal_exponent(stream, depth)
-        return coefficient, ZERO
     if token.kind is TokenKind.GROSSONE:
-        return Fraction(1), _parse_literal_exponent(stream, depth)
-    raise stream.fail("expected a coefficient or G1")
+        return Fraction(1), _parse_literal_exponent(stream)
+    if token.kind is not TokenKind.DECIMAL_LIT:
+        raise stream.fail("expected a coefficient or G1")
+    stream.advance()
+    coefficient = Fraction(token.lexeme)
+    if stream.match(TokenKind.SLASH):
+        denominator = stream.expect(TokenKind.DECIMAL_LIT, "a denominator")
+        if "." in token.lexeme + denominator.lexeme or not int(denominator.lexeme):
+            raise ParseError("a fraction is integer / nonzero integer", token.line, token.column)
+        coefficient /= int(denominator.lexeme)
+    if stream.match(TokenKind.STAR):
+        return coefficient, _parse_literal_exponent(stream)
+    return coefficient, ZERO
 
 
-def _parse_literal_exponent(stream: _TokenStream, depth: int) -> GrossNumber:
+def _parse_literal_exponent(stream: _TokenStream) -> GrossNumber:
     stream.expect(TokenKind.GROSSONE, "G1")
     if stream.match(TokenKind.CARET):
-        brace = stream.expect(TokenKind.LBRACE, "'{'")
-        if depth + 1 > stream.depth_cap:
-            raise DepthLimitExceeded(
-                f"exponent braces nested deeper than {stream.depth_cap}",
-                brace.line,
-                brace.column,
-            )
-        inner = _parse_literal(stream, depth + 1)
+        stream.expect(TokenKind.LBRACE, "'{'")
+        inner = _parse_literal(stream)
         stream.expect(TokenKind.RBRACE, "'}'")
         return inner
     return ONE
@@ -376,31 +374,25 @@ def _parse_literal_exponent(stream: _TokenStream, depth: int) -> GrossNumber:
 # ----------------------------------------------------------- expressions
 
 
-def parse_expression(text: str, *, depth_cap: int = DEFAULT_DEPTH_CAP) -> Ast:
-    stream = _TokenStream(lex(text), depth_cap)
-    ast = _parse_compare(stream, 0)
-    stream.expect(TokenKind.EOF, "end of input")
-    return ast
+def parse_expression(text: str) -> Ast:
+    return _parse_whole(text, _parse_compare)
 
 
-def parse_statement(text: str, *, depth_cap: int = DEFAULT_DEPTH_CAP) -> Ast:
+def parse_statement(text: str) -> Ast:
     """Parse one session statement: let, def, or a bare expression."""
-    stream = _TokenStream(lex(text), depth_cap)
+    return _parse_whole(text, _parse_statement)
+
+
+def _parse_statement(stream: _TokenStream) -> Ast:
     token = stream.peek()
     if token.kind is TokenKind.KEYWORD and token.lexeme == "let":
         stream.advance()
         name = stream.expect(TokenKind.IDENT, "a name").lexeme
         stream.expect(TokenKind.ASSIGN, "'='")
-        expr = _parse_compare(stream, 0)
-        stream.expect(TokenKind.EOF, "end of input")
-        return LetBinding(name, expr)
+        return LetBinding(name, _parse_compare(stream))
     if token.kind is TokenKind.KEYWORD and token.lexeme == "def":
-        ast = _parse_def(stream)
-        stream.expect(TokenKind.EOF, "end of input")
-        return ast
-    ast = _parse_compare(stream, 0)
-    stream.expect(TokenKind.EOF, "end of input")
-    return ast
+        return _parse_def(stream)
+    return _parse_compare(stream)
 
 
 def _parse_def(stream: _TokenStream) -> PiecewiseDef:
@@ -411,11 +403,11 @@ def _parse_def(stream: _TokenStream) -> PiecewiseDef:
     stream.expect(TokenKind.RPAREN, "')'")
     stream.expect(TokenKind.ASSIGN, "'='")
     if not stream.match(TokenKind.LBRACE):
-        body = _parse_additive(stream, 0)
+        body = _parse_additive(stream)
         return PiecewiseDef(name, param, (), body)
     branches: list[Branch] = []
     while True:
-        body = _parse_additive(stream, 0)
+        body = _parse_additive(stream)
         if_token = stream.peek()
         if not (if_token.kind is TokenKind.KEYWORD and if_token.lexeme == "if"):
             raise stream.fail("expected 'if' after the branch expression")
@@ -432,7 +424,7 @@ def _parse_def(stream: _TokenStream) -> PiecewiseDef:
         if relation is None:
             raise stream.fail("expected a comparison operator")
         stream.advance()
-        breakpoint_expr = _parse_additive(stream, 0)
+        breakpoint_expr = _parse_additive(stream)
         branches.append(Branch(body, relation, breakpoint_expr))
         if stream.match(TokenKind.SEMICOLON):
             continue
@@ -441,69 +433,63 @@ def _parse_def(stream: _TokenStream) -> PiecewiseDef:
     return PiecewiseDef(name, param, tuple(branches))
 
 
-def _parse_compare(stream: _TokenStream, depth: int) -> Ast:
-    left = _parse_additive(stream, depth)
+def _parse_compare(stream: _TokenStream) -> Ast:
+    left = _parse_additive(stream)
     relation = _RELOP_TOKENS.get(stream.peek().kind)
     if relation is not None:
         stream.advance()
-        right = _parse_additive(stream, depth)
+        right = _parse_additive(stream)
         return Compare(relation, left, right)
     return left
 
 
-def _parse_additive(stream: _TokenStream, depth: int) -> Ast:
-    left = _parse_multiplicative(stream, depth)
+def _parse_additive(stream: _TokenStream) -> Ast:
+    left = _parse_multiplicative(stream)
     while True:
         token = stream.match(TokenKind.PLUS, TokenKind.MINUS)
         if token is None:
             return left
-        right = _parse_multiplicative(stream, depth)
+        right = _parse_multiplicative(stream)
         left = Binary(token.lexeme, left, right)
 
 
-def _parse_multiplicative(stream: _TokenStream, depth: int) -> Ast:
-    left = _parse_unary(stream, depth)
+def _parse_multiplicative(stream: _TokenStream) -> Ast:
+    left = _parse_unary(stream)
     while True:
         token = stream.match(TokenKind.STAR, TokenKind.SLASH)
         if token is None:
             return left
-        right = _parse_unary(stream, depth)
+        right = _parse_unary(stream)
         left = Binary(token.lexeme, left, right)
 
 
-def _parse_unary(stream: _TokenStream, depth: int) -> Ast:
+def _parse_unary(stream: _TokenStream) -> Ast:
+    stream.nest()
     if stream.match(TokenKind.MINUS):
-        return Unary("-", _parse_unary(stream, depth))
-    return _parse_power(stream, depth)
+        ast: Ast = Unary("-", _parse_unary(stream))
+    else:
+        ast = _parse_power(stream)
+    stream.depth -= 1
+    return ast
 
 
-def _parse_power(stream: _TokenStream, depth: int) -> Ast:
-    base = _parse_atom(stream, depth)
-    if stream.match(TokenKind.CARET):
-        return Binary("^", base, _parse_exponent_operand(stream, depth))
-    return base
-
-
-def _parse_exponent_operand(stream: _TokenStream, depth: int) -> Ast:
-    brace = stream.match(TokenKind.LBRACE)
-    if brace is not None:
-        if depth + 1 > stream.depth_cap:
-            raise DepthLimitExceeded(
-                f"exponent braces nested deeper than {stream.depth_cap}",
-                brace.line,
-                brace.column,
-            )
-        inner = _parse_additive(stream, depth + 1)
+def _parse_power(stream: _TokenStream) -> Ast:
+    base = _parse_atom(stream)
+    if not stream.match(TokenKind.CARET):
+        return base
+    if stream.match(TokenKind.LBRACE):
+        exponent = _parse_additive(stream)
         stream.expect(TokenKind.RBRACE, "'}'")
-        return inner
-    return _parse_unary(stream, depth)
+    else:
+        exponent = _parse_unary(stream)
+    return Binary("^", base, exponent)
 
 
-def _parse_atom(stream: _TokenStream, depth: int) -> Ast:
+def _parse_atom(stream: _TokenStream) -> Ast:
     token = stream.peek()
     if token.kind is TokenKind.DECIMAL_LIT:
         stream.advance()
-        return Literal(from_rational(_token_fraction(token)))
+        return Literal(from_rational(Fraction(token.lexeme)))
     if token.kind is TokenKind.GROSSONE:
         stream.advance()
         return GrossoneSymbol()
@@ -512,15 +498,15 @@ def _parse_atom(stream: _TokenStream, depth: int) -> Ast:
         if stream.match(TokenKind.LPAREN):
             args: list[Ast] = []
             if stream.peek().kind is not TokenKind.RPAREN:
-                args.append(_parse_compare(stream, depth))
+                args.append(_parse_compare(stream))
                 while stream.match(TokenKind.COMMA):
-                    args.append(_parse_compare(stream, depth))
+                    args.append(_parse_compare(stream))
             stream.expect(TokenKind.RPAREN, "')'")
             return Call(token.lexeme, tuple(args))
         return Var(token.lexeme)
     if token.kind is TokenKind.LPAREN:
         stream.advance()
-        inner = _parse_compare(stream, depth)
+        inner = _parse_compare(stream)
         stream.expect(TokenKind.RPAREN, "')'")
         return inner
     raise stream.fail("expected an expression")

@@ -17,11 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
 from . import core
 from .core import (
     GROSSONE,
+    GrossLike,
     GrossNumber,
     NumClass,
     ONE,
@@ -40,8 +41,6 @@ from .errors import (
     NotAMember,
     NotASubset,
 )
-
-GrossLike = Union[GrossNumber, int, Fraction]
 
 
 @dataclass(frozen=True)

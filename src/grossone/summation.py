@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb
 from typing import Iterable, Tuple, Union
 
@@ -19,7 +20,7 @@ from . import core
 from .core import GrossNumber, ONE, Parity, ZERO, as_gross, from_int, scalar_mul
 from .errors import UnsupportedSummand
 from .evaluator import Env, evaluate
-from .numio import Ast, Binary, Call, Compare, Unary, Var
+from .numio import Ast, Binary, Call, Compare, Unary, Var, operator_chain
 
 _bernoulli_cache: list[Fraction] = []
 
@@ -81,12 +82,6 @@ class PolynomialSummand:
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1 if self.coefficients else 0
-
-    def at(self, point: GrossNumber) -> GrossNumber:
-        value = ZERO
-        for j, c in enumerate(self.coefficients):
-            value = value + c * core.power_int(point, j) if j else value + c
-        return value
 
     def compose_affine(self, a: Fraction, b: Fraction) -> "PolynomialSummand":
         """The summand as a polynomial in t where i = a*t + b."""
@@ -208,26 +203,8 @@ def _poly_coefficients(expr: Ast, var: str, env: Env) -> list[GrossNumber]:
     if isinstance(expr, Unary):
         return [core.negate(c) for c in _poly_coefficients(expr.operand, var, env)]
     if isinstance(expr, Binary):
-        if expr.op in ("+", "-"):
-            left = _poly_coefficients(expr.left, var, env)
-            right = _poly_coefficients(expr.right, var, env)
-            size = max(len(left), len(right))
-            left += [ZERO] * (size - len(left))
-            right += [ZERO] * (size - len(right))
-            if expr.op == "+":
-                return [a + b for a, b in zip(left, right)]
-            return [a - b for a, b in zip(left, right)]
-        if expr.op == "*":
-            left = _poly_coefficients(expr.left, var, env)
-            return _poly_product(left, _poly_coefficients(expr.right, var, env))
-        if expr.op == "/":
-            if _mentions(expr.right, var):
-                raise UnsupportedSummand(
-                    f"the index variable {var!r} occurs in a divisor; "
-                    "no polynomial closed form exists"
-                )
-            divisor = evaluate(expr.right, env)
-            return [env.divide(c, divisor) for c in _poly_coefficients(expr.left, var, env)]
+        if expr.op in ("+", "-", "*", "/"):
+            return _chain_coefficients(expr, var, env)
         if expr.op == "^":
             if _mentions(expr.right, var):
                 raise UnsupportedSummand(
@@ -252,6 +229,27 @@ def _poly_coefficients(expr: Ast, var: str, env: Env) -> list[GrossNumber]:
     raise UnsupportedSummand(f"summand is not polynomial in {var!r}")
 
 
+def _chain_coefficients(expr: Binary, var: str, env: Env) -> list[GrossNumber]:
+    first, rest = operator_chain(expr)
+    out = _poly_coefficients(first, var, env)
+    for op, operand in rest:
+        if op == "/":
+            if _mentions(operand, var):
+                raise UnsupportedSummand(
+                    f"the index variable {var!r} occurs in a divisor; "
+                    "no polynomial closed form exists"
+                )
+            divisor = evaluate(operand, env)
+            out = [env.divide(c, divisor) for c in out]
+        elif op == "*":
+            out = _poly_product(out, _poly_coefficients(operand, var, env))
+        else:
+            right = _poly_coefficients(operand, var, env)
+            combine = core.add if op == "+" else core.subtract
+            out = [combine(a, b) for a, b in zip_longest(out, right, fillvalue=ZERO)]
+    return out
+
+
 def _poly_product(left: list[GrossNumber], right: list[GrossNumber]) -> list[GrossNumber]:
     out = [ZERO] * (len(left) + len(right) - 1)
     for a, ca in enumerate(left):
@@ -261,12 +259,16 @@ def _poly_product(left: list[GrossNumber], right: list[GrossNumber]) -> list[Gro
 
 
 def _mentions(expr: Ast, var: str) -> bool:
-    if isinstance(expr, Var):
-        return expr.name == var
-    if isinstance(expr, Unary):
-        return _mentions(expr.operand, var)
-    if isinstance(expr, (Binary, Compare)):
-        return _mentions(expr.left, var) or _mentions(expr.right, var)
-    if isinstance(expr, Call):
-        return any(_mentions(arg, var) for arg in expr.args)
+    pending = [expr]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, Var):
+            if node.name == var:
+                return True
+        elif isinstance(node, Unary):
+            pending.append(node.operand)
+        elif isinstance(node, (Binary, Compare)):
+            pending += (node.left, node.right)
+        elif isinstance(node, Call):
+            pending += node.args
     return False

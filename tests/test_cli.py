@@ -75,12 +75,45 @@ def test_eval_decimal_format(capsys):
     assert (code, out) == (0, "1/3*G1\n")
 
 
-def test_eval_depth_cap_flag(capsys):
+def test_eval_nesting_limit(capsys):
     code, out, _ = run(capsys, "eval", "G1^{G1^{G1}}")
-    assert code == 0
-    code, _, err = run(capsys, "eval", "--depth-cap", "1", "G1^{G1^{G1}}")
+    assert (code, out) == (0, "G1^{G1^{G1}}\n")
+    code, _, err = run(capsys, "eval", "G1^{" * 101 + "G1" + "}" * 101)
     assert code == 2
-    assert "nested deeper" in err
+    assert err == "error: 1:404: nested deeper than 100\n"
+
+
+@pytest.mark.parametrize(
+    "expression", ["(" * 3000 + "1" + ")" * 3000, "^".join(["2"] * 400)], ids=["parens", "powers"]
+)
+def test_eval_deep_input_is_a_parse_error(capsys, expression):
+    code, out, err = run(capsys, "eval", expression)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith(": nested deeper than 100\n")
+    assert "Traceback" not in err
+
+
+def test_nested_power_output_reparses(capsys):
+    code, out, _ = run(capsys, "eval", "G1^(" * 10 + "G1" + ")" * 10)
+    numeral = out.strip()
+    assert (code, numeral) == (0, "G1^{" * 10 + "G1" + "}" * 10)
+    assert run(capsys, "eval", numeral) == (0, out, "")
+    assert run(capsys, "sum", "--summand", "1", "--upper", numeral) == (0, out, "")
+
+
+@pytest.mark.parametrize(
+    "op, terms, expected", [("+", 5000, "5000"), ("-", 5000, "-4998"), ("*", 1500, "1")]
+)
+def test_eval_long_operator_chains(capsys, op, terms, expected):
+    code, out, err = run(capsys, "eval", op.join(["1"] * terms))
+    assert (code, out, err) == (0, expected + "\n", "")
+
+
+def test_eval_progression_step_uses_the_numeral_printer(capsys):
+    code, out, _ = run(capsys, "eval", "--format", "decimal:2", "image(N, 1/3, 1/3)")
+    assert (code, out) == (0, "progression(start=0.67, step=0.33, count=G1)\n")
+    code, out, _ = run(capsys, "eval", "image(N, 1/2, 0)")
+    assert (code, out) == (0, "progression(start=0.5, step=0.5, count=G1)\n")
 
 
 def test_eval_set_builtins_inside_expressions(capsys):
@@ -148,6 +181,11 @@ def test_sum_closed_form_honours_div_truncate(capsys):
     assert (code, out) == (0, "6*G1^{-1} - 6*G1^{-2} + 6*G1^{-3}\n")
     brute = sum_finite_generic(parse_expression("i/(1+G1)"), 3, Env(div_max_terms=3))
     assert parse_number(out.strip()) == brute
+
+
+def test_sum_long_summand_chain(capsys):
+    code, out, _ = run(capsys, "sum", "--summand", "+".join(["i"] * 2000), "--upper", "3")
+    assert (code, out) == (0, "12000\n")
 
 
 def test_sum_fallback_alternating(capsys):
@@ -321,6 +359,16 @@ def test_repl_stdin_errors_are_named_stdin(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (0, "1\n")
     assert captured.err == "<stdin>:2:4: expected an expression\n"
+
+
+def test_repl_survives_a_long_chain(monkeypatch, capsys):
+    import io
+    import sys as _sys
+
+    monkeypatch.setattr(_sys, "stdin", io.StringIO("+".join(["1"] * 5000) + "\n1 + 1\n"))
+    code = main(["repl"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (0, "5000\n2\n", "")
 
 
 def test_repl_image_binding_prints_nothing_until_queried(tmp_path, capsys):

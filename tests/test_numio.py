@@ -19,17 +19,18 @@ from grossone.core import (
 )
 from grossone.errors import DepthLimitExceeded, ParseError, UnknownCharacter
 from grossone.numio import (
+    MAX_NESTING,
     Binary,
     Call,
     Compare,
     GrossoneSymbol,
     LetBinding,
     PiecewiseDef,
-    Token,
     TokenKind,
     Unary,
     Var,
     lex,
+    operator_chain,
     parse_expression,
     parse_number,
     parse_statement,
@@ -79,10 +80,10 @@ def test_lex_unknown_character_position():
     assert (err.value.line, err.value.column) == (2, 5)
 
 
-def test_lex_fraction_literals_mode():
-    tokens = lex("1/3*G1", fraction_literals=True)
-    assert tokens[0] == Token(TokenKind.RATIONAL_LIT, "1/3", 1, 1)
-    # expression mode keeps '/' as an operator
+def test_lex_slash_is_always_a_token():
+    # one lexer: the literal grammar reads integer '/' integer from the
+    # same three tokens that expressions read as a division
+    assert parse_number("1/3*G1") == scalar_mul(Fraction(1, 3), G1)
     kinds = [t.kind for t in lex("1/3*G1")][:3]
     assert kinds == [TokenKind.DECIMAL_LIT, TokenKind.SLASH, TokenKind.DECIMAL_LIT]
 
@@ -134,11 +135,43 @@ def test_parse_number_errors():
         parse_number("x + 1")
 
 
-def test_parse_number_depth_cap():
-    nested = "G1^{G1^{G1}}"
-    assert parse_number(nested, depth_cap=2) == monomial(1, monomial(1, G1))
-    with pytest.raises(DepthLimitExceeded):
-        parse_number(nested, depth_cap=1)
+def test_parse_number_fraction_may_have_spaces():
+    assert parse_number("1 / 3") == from_rational(Fraction(1, 3))
+    for text in ("1/3.5", "1.5/3", "1/0", "1/-3"):
+        with pytest.raises(ParseError):
+            parse_number(text)
+
+
+def test_parse_number_nesting_limit():
+    assert parse_number("G1^{G1^{G1}}") == monomial(1, monomial(1, G1))
+    deepest = "G1^{" * MAX_NESTING + "G1" + "}" * MAX_NESTING
+    value = parse_number(deepest)
+    assert print_canonical(value) == deepest
+    with pytest.raises(DepthLimitExceeded) as err:
+        parse_number("G1^{" + deepest + "}")
+    assert err.value.message == "nested deeper than 100"
+
+
+# text nested ``n`` levels deep, and the column of the token opening level n
+NESTINGS = {
+    "parens": (parse_expression, lambda n: ("(" * n + "1" + ")" * n, n)),
+    "call arguments": (parse_expression, lambda n: ("f(" * n + "1" + ")" * n, 2 * n)),
+    "expression braces": (parse_expression, lambda n: ("x^{" * n + "1" + "}" * n, 3 * n)),
+    "literal braces": (parse_number, lambda n: ("G1^{" * n + "1" + "}" * n, 4 * n)),
+    "unary minus": (parse_expression, lambda n: ("-" * n + "1", n)),
+    "power chain": (parse_expression, lambda n: ("^".join(["2"] * (n + 1)), 2 * n)),
+}
+
+
+@pytest.mark.parametrize("kind", NESTINGS)
+def test_each_level_kind_stops_at_the_nesting_limit(kind):
+    parse, nested = NESTINGS[kind]
+    parse("\n  " + nested(MAX_NESTING)[0])
+    text, column = nested(MAX_NESTING + 1)
+    with pytest.raises(DepthLimitExceeded) as err:
+        parse("\n  " + text)
+    assert (err.value.line, err.value.column) == (2, column + 2)
+    assert err.value.message == "nested deeper than 100"
 
 
 # ------------------------------------------------------------- expressions
@@ -172,6 +205,13 @@ def test_parse_expression_precedence():
     ast = parse_expression("2^3^2")
     assert isinstance(ast, Binary) and ast.op == "^"
     assert isinstance(ast.right, Binary) and ast.right.op == "^"
+
+
+def test_operator_chain_walks_the_left_spine():
+    first, rest = operator_chain(parse_expression("1 - 2*3/4 + x"))
+    assert first == parse_expression("1")
+    assert rest == [("-", parse_expression("2*3/4")), ("+", Var("x"))]
+    assert operator_chain(parse_expression("2^3")) == (parse_expression("2^3"), [])
 
 
 def test_parse_expression_comparison():
