@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cmp_to_key
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Tuple, Union
 
 from .errors import (
@@ -89,12 +89,8 @@ class GrossNumber:
             return self._hash
         except AttributeError:
             pass
-        if not self.terms:
-            h = hash(0)
-        elif len(self.terms) == 1 and not self.terms[0].exponent.terms:
-            h = hash(self.terms[0].coefficient)
-        else:
-            h = hash(self.terms)
+        q = as_rational(self)
+        h = hash(self.terms) if q is None else hash(q)
         object.__setattr__(self, "_hash", h)
         return h
 
@@ -192,16 +188,6 @@ def monomial(coefficient: RationalLike, exponent: GrossLike) -> GrossNumber:
 # --------------------------------------------------------------- structure
 
 
-def _sorted_terms(merged: dict[GrossNumber, Fraction]) -> GrossNumber:
-    kept = [(p, c) for p, c in merged.items() if c.numerator]
-    kept.sort(key=cmp_to_key(_compare_exponent_pairs), reverse=True)
-    return GrossNumber(tuple(GrossTerm(c, p) for p, c in kept))
-
-
-def _compare_exponent_pairs(a, b):
-    return compare(a[0], b[0])
-
-
 def normalize(terms: Iterable[Tuple[RationalLike, GrossNumber]]) -> GrossNumber:
     """Canonicalize ``(coefficient, exponent)`` pairs.
 
@@ -214,7 +200,7 @@ def normalize(terms: Iterable[Tuple[RationalLike, GrossNumber]]) -> GrossNumber:
         c = coefficient if type(coefficient) is Fraction else Fraction(coefficient)
         previous = merged.get(exponent)
         merged[exponent] = c if previous is None else previous + c
-    return _sorted_terms(merged)
+    return _from_keyed(None, _decreasing(merged))
 
 
 def sign(x: GrossNumber) -> int:
@@ -312,16 +298,13 @@ def multiply(x: GrossNumber, y: GrossNumber) -> GrossNumber:
     """Exact convolution: every term pair multiplies coefficients and adds
     exponents, then like exponents merge.
 
-    Three paths, chosen from the operands:
-
-    * one operand has a single term: a monomial shift.  Adding a fixed
-      grosspower keeps the other operand's exponents strictly decreasing
-      (the exponents form an ordered group), so its terms, scaled and
-      shifted, are already canonical; no merge or sort is needed.
-    * every grosspower of both operands is a plain rational: the
-      convolution runs on integer exponent keys (see ``_int_keyed``).
-    * otherwise: exponents are added as gross-numbers, merged in a dict
-      keyed by exponent and sorted by ``compare``.
+    When one operand has a single term this is a monomial shift: adding a
+    fixed grosspower keeps the other operand's exponents strictly
+    decreasing (the exponents form an ordered group), so its terms, scaled
+    and shifted, are already canonical and need no merge or sort.
+    Otherwise one loop adds the exponent keys of ``_keyed`` pairwise,
+    merges like keys in a dict and sorts the keys; it is the same loop
+    whether the keys are integers or grosspowers.
     """
     if not x.terms or not y.terms:
         return ZERO
@@ -330,56 +313,53 @@ def multiply(x: GrossNumber, y: GrossNumber) -> GrossNumber:
     if len(y.terms) == 1:
         cy, py = y.terms[0]
         return GrossNumber(tuple(GrossTerm(cx * cy, add(px, py)) for cx, px in x.terms))
-    keyed = _int_keyed(x, y)
-    if keyed is not None:
-        denominator, xs, ys = keyed
-        products: dict[int, Fraction] = {}
-        for kx, cx in xs:
-            for ky, cy in ys:
-                key = kx + ky
-                c = cx * cy
-                previous = products.get(key)
-                products[key] = c if previous is None else previous + c
-        kept = sorted(((k, c) for k, c in products.items() if c.numerator), reverse=True)
-        return _from_int_keyed(denominator, kept)
-    merged: dict[GrossNumber, Fraction] = {}
-    for tx in x.terms:
-        cx, px = tx
-        for ty in y.terms:
-            exponent = add(px, ty.exponent)
-            c = cx * ty.coefficient
-            previous = merged.get(exponent)
-            merged[exponent] = c if previous is None else previous + c
-    return _sorted_terms(merged)
+    denominator, xs, ys = _keyed(x, y)
+    products: dict = {}
+    for kx, cx in xs:
+        for ky, cy in ys:
+            key = kx + ky
+            c = cx * cy
+            previous = products.get(key)
+            products[key] = c if previous is None else previous + c
+    return _from_keyed(denominator, _decreasing(products))
 
 
-def _int_keyed(x: GrossNumber, y: GrossNumber):
-    """Both operands with integer exponent keys, or None.
+def _keyed(x: GrossNumber, y: GrossNumber):
+    """Both operands as ``(L, xs, ys)``: ``xs`` and ``ys`` list each
+    operand's terms as ``(key, coefficient)``, keys strictly decreasing.
 
-    Returns ``(L, xs, ys)`` where ``L`` is the lcm of the denominators of
-    all grosspowers and ``xs``/``ys`` list each operand's terms as
-    ``(key, coefficient)`` with grosspower ``key / L``, keys strictly
-    decreasing.  None when some grosspower is not a plain rational.
+    Two kinds of key, chosen here alone.  When every grosspower of x and y
+    is a plain rational, ``L`` is the lcm of their denominators and the key
+    of grosspower ``p`` is the integer ``p * L``.  Otherwise ``L`` is None
+    and the key is the grosspower itself.  Both kinds support ``+ - < >``,
+    so the loops of ``multiply`` and ``divide`` run on either.
     """
     powers = []
     for c, p in x.terms + y.terms:
-        pt = p.terms
-        if not pt:
-            powers.append((_ZERO_FRACTION, c))
-        elif len(pt) == 1 and not pt[0].exponent.terms:
-            powers.append((pt[0].coefficient, c))
-        else:
-            return None
+        q = as_rational(p)
+        if q is None:
+            return None, [(p, c) for c, p in x.terms], [(p, c) for c, p in y.terms]
+        powers.append((q, c))
     denominator = lcm(*[q.denominator for q, _ in powers])
     keyed = [(q.numerator * (denominator // q.denominator), c) for q, c in powers]
     split = len(x.terms)
     return denominator, keyed[:split], keyed[split:]
 
 
-def _from_int_keyed(denominator: int, keyed: list) -> GrossNumber:
-    """The gross-number of ``(key, coefficient)`` pairs, keys strictly
-    decreasing and coefficients nonzero; key 0 maps to the shared ZERO
-    exponent, so finite results hash like their rational value."""
+def _decreasing(merged: dict) -> list:
+    """The ``(key, coefficient)`` pairs of a merge dict with a nonzero
+    coefficient, keys decreasing.  Sorting on the key alone keeps a tuple
+    sort from testing coefficients or grosspowers for equality."""
+    return sorted(((k, c) for k, c in merged.items() if c.numerator), key=itemgetter(0), reverse=True)
+
+
+def _from_keyed(denominator: int | None, keyed: list) -> GrossNumber:
+    """The gross-number of ``(key, coefficient)`` pairs from ``_keyed``,
+    keys strictly decreasing and coefficients nonzero.  An integer key 0
+    maps to the shared ZERO exponent, so finite results hash like their
+    rational value."""
+    if denominator is None:
+        return GrossNumber(tuple(GrossTerm(c, k) for k, c in keyed))
     return GrossNumber(tuple(
         GrossTerm(c, GrossNumber((GrossTerm(Fraction(k, denominator), ZERO),)) if k else ZERO)
         for k, c in keyed
@@ -421,19 +401,14 @@ def power_int(x: GrossNumber, n: int) -> GrossNumber:
 
 def as_int(x: GrossNumber) -> int | None:
     """The value as a machine integer when x is purely finite and integral."""
-    if not x.terms:
-        return 0
-    if len(x.terms) == 1 and not x.terms[0].exponent.terms:
-        c = x.terms[0].coefficient
-        if c.denominator == 1:
-            return c.numerator
-    return None
+    q = as_rational(x)
+    return q.numerator if q is not None and q.denominator == 1 else None
 
 
 def as_rational(x: GrossNumber) -> Fraction | None:
     """The value as a Fraction when x is purely finite, else None."""
     if not x.terms:
-        return Fraction(0)
+        return _ZERO_FRACTION
     if len(x.terms) == 1 and not x.terms[0].exponent.terms:
         return x.terms[0].coefficient
     return None
@@ -483,71 +458,52 @@ def divide(x: GrossNumber, y: GrossNumber, max_terms: int = DEFAULT_DIV_TERMS) -
     remainder vanishes or ``max_terms`` terms have been emitted.  The
     identity ``x == quotient * y + remainder`` always holds exactly.
 
-    Each step subtracts ``step * y`` for a one-term ``step``, which is the
-    monomial shift of ``multiply``.  When every grosspower of x and y is a
-    plain rational the whole division runs on integer exponent keys (see
-    ``_int_keyed``) and converts back to gross-numbers once at the end;
-    otherwise each step works on gross-numbers.
+    One loop runs on the exponent keys of ``_keyed``, integers or
+    grosspowers alike, and converts back to gross-numbers once at the end.
+    Each step divides the remainder's leading term by the divisor's, which
+    cancels that term exactly, so it is dropped rather than subtracted; the
+    rest of the remainder merges with the divisor's tail shifted by the
+    step (the monomial shift of ``multiply``).
     """
     if not y.terms:
         raise DivisionByZero("division by zero")
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
-    keyed = _int_keyed(x, y)
-    if keyed is not None:
-        return _divide_int_keyed(*keyed, max_terms)
-    lead = y.terms[0]
-    quotient_terms: list[GrossTerm] = []
-    remainder = x
-    while remainder.terms and len(quotient_terms) < max_terms:
-        top = remainder.terms[0]
-        q_coeff = top.coefficient / lead.coefficient
-        q_exp = subtract(top.exponent, lead.exponent)
-        quotient_terms.append(GrossTerm(q_coeff, q_exp))
-        step = GrossNumber((GrossTerm(q_coeff, q_exp),))
-        remainder = subtract(remainder, multiply(step, y))
-    quotient = GrossNumber(tuple(quotient_terms))
-    return DivResult(quotient, remainder, exact=not remainder.terms, terms_emitted=len(quotient_terms))
-
-
-def _divide_int_keyed(denominator: int, xs: list, ys: list, max_terms: int) -> DivResult:
-    """``divide`` on integer exponent keys.  Each step's leading term
-    cancels exactly, so it is dropped rather than subtracted, and the rest
-    of the remainder merges with the shifted tail of the divisor."""
+    denominator, remainder, ys = _keyed(x, y)
     lead_key, lead_coeff = ys[0]
     tail = ys[1:]
     quotient = []
-    remainder = xs
     while remainder and len(quotient) < max_terms:
         key, coeff = remainder[0]
         shift = key - lead_key
         factor = coeff / lead_coeff
         quotient.append((shift, factor))
         # merge remainder[1:] with -factor * G1^shift * tail, keys decreasing
+        shifted = [(k + shift, -factor * c) for k, c in tail]
         merged = []
         i, j = 1, 0
-        n, m = len(remainder), len(tail)
+        n, m = len(remainder), len(shifted)
         while i < n and j < m:
             ka, ca = remainder[i]
-            kb = tail[j][0] + shift
+            kb, cb = shifted[j]
             if ka > kb:
                 merged.append(remainder[i])
                 i += 1
             elif ka < kb:
-                merged.append((kb, -factor * tail[j][1]))
+                merged.append(shifted[j])
                 j += 1
             else:
-                c = ca - factor * tail[j][1]
+                c = ca + cb
                 if c.numerator:
                     merged.append((ka, c))
                 i += 1
                 j += 1
         merged.extend(remainder[i:])
-        merged.extend((k + shift, -factor * c) for k, c in tail[j:])
+        merged.extend(shifted[j:])
         remainder = merged
     return DivResult(
-        _from_int_keyed(denominator, quotient),
-        _from_int_keyed(denominator, remainder),
+        _from_keyed(denominator, quotient),
+        _from_keyed(denominator, remainder),
         exact=not remainder,
         terms_emitted=len(quotient),
     )

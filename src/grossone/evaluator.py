@@ -21,6 +21,7 @@ from . import core
 from .core import GROSSONE, GrossNumber, as_rational, compare
 from .errors import EvalError, NoBranchMatched, UnboundName
 from .numio import (
+    MAX_NESTING,
     Ast,
     Binary,
     Call,
@@ -31,6 +32,7 @@ from .numio import (
     PiecewiseDef,
     Unary,
     Var,
+    brace_depth,
     operator_chain,
     print_canonical,
 )
@@ -162,14 +164,20 @@ def evaluate(ast: Ast, env: Env) -> GrossNumber:
 
 def evaluate_value(ast: Ast, env: Env) -> Value:
     """Evaluate at statement level, where a comparison or member(...) gives
-    a boolean and a set name or image(...) gives a set."""
+    a boolean and a set name or image(...) gives a set.
+
+    A number whose numeral would nest deeper than ``MAX_NESTING`` braces
+    raises EvalError, so every value a session holds prints as text that
+    parses again.
+    """
     if isinstance(ast, Compare):
         return evaluate_compare(ast, env)
     if isinstance(ast, Var):
         return env.lookup(ast.name)
-    if isinstance(ast, Call):
-        return _call(ast, env)
-    return evaluate(ast, env)
+    value = _call(ast, env) if isinstance(ast, Call) else evaluate(ast, env)
+    if isinstance(value, GrossNumber) and brace_depth(value) > MAX_NESTING:
+        raise EvalError(f"the result would print nested deeper than {MAX_NESTING} braces")
+    return value
 
 
 def evaluate_compare(ast: Compare, env: Env) -> bool:

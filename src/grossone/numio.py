@@ -538,6 +538,19 @@ def print_canonical(x: GrossNumber, digits: Optional[int] = None) -> str:
     return "".join(parts)
 
 
+def brace_depth(x: GrossNumber) -> int:
+    """How deeply ``print_canonical`` nests braces for x: each grosspower
+    other than 0 and 1 opens one ``{``.
+
+    >>> brace_depth(core.GROSSONE ** core.GROSSONE + core.GROSSONE)
+    1
+    """
+    return max(
+        (1 + brace_depth(t.exponent) for t in x.terms if t.exponent.terms and t.exponent != ONE),
+        default=0,
+    )
+
+
 def _term_text(coefficient: Fraction, exponent: GrossNumber, digits: Optional[int]) -> str:
     if not exponent.terms:
         return _coefficient_text(coefficient, digits)

@@ -371,6 +371,29 @@ def test_repl_survives_a_long_chain(monkeypatch, capsys):
     assert (code, captured.out, captured.err) == (0, "5000\n2\n", "")
 
 
+def _tower_script(tmp_path, lets):
+    script = tmp_path / "tower.txt"
+    script.write_text("let a = G1\n" + "let a = G1^a\n" * lets + "a\n", encoding="utf-8")
+    return script
+
+
+def test_repl_values_stay_reparseable(tmp_path, capsys):
+    script = _tower_script(tmp_path, 101)
+    code, out, err = run(capsys, "repl", "--script", str(script))
+    assert code == 0
+    assert err == f"{script}:102: the result would print nested deeper than 100 braces\n"
+    assert out.count("{") == 100
+    assert run(capsys, "eval", out.strip()) == (0, out, "")
+
+
+def test_repl_long_tower_of_lets_is_not_a_traceback(tmp_path, capsys):
+    code, out, err = run(capsys, "repl", "--script", str(_tower_script(tmp_path, 500)))
+    assert code == 0
+    assert out.count("{") == 100
+    assert err.count("nested deeper than 100 braces") == 400
+    assert "Traceback" not in err
+
+
 def test_repl_image_binding_prints_nothing_until_queried(tmp_path, capsys):
     script = tmp_path / "session.txt"
     script.write_text("image(E, 0.5, 0)\n", encoding="utf-8")

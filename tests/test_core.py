@@ -416,6 +416,23 @@ def test_divide_mixed_operands_matches_reference(x, y, budget):
         assert divide(y, x, budget) == reference_divide(y, x, budget)
 
 
+@given(gross_numbers(), gross_numbers())
+def test_nested_operands_match_reference(x, y):
+    assert multiply(x, y) == reference_multiply(x, y)
+    if y:
+        for budget in (1, 5, 20):
+            assert divide(x, y, budget) == reference_divide(x, y, budget)
+
+
+def test_exact_division_of_nested_product_gives_the_factor_back():
+    a = G1 + monomial(2, G1 - 1) - monomial(Fraction(1, 3), monomial(-1, Fraction(1, 2)))
+    b = monomial(3, 2 * G1) + 1 - monomial(5, -G1)
+    product = multiply(a, b)
+    assert len(product.terms) == 9
+    assert divide(product, b) == DivResult(a, ZERO, True, 3)
+    assert divide(product, a) == DivResult(b, ZERO, True, 3)
+
+
 @given(small_rationals, small_rationals)
 def test_finite_arithmetic_matches_fractions(p, q):
     assert as_rational(from_rational(p) + from_rational(q)) == p + q
