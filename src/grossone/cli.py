@@ -7,6 +7,7 @@ or domain error.  Results go to stdout, errors to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional
 
@@ -158,12 +159,11 @@ def cmd_repl(args) -> int:
             continue
         try:
             env, result = exec_statement(parse_statement(text), env)
+            _show(result, args)
         except ParseError as exc:
             print(f"{source}:{lineno}:{exc.column}: {exc.message}", file=sys.stderr)
         except GrossoneError as exc:
             print(f"{source}:{lineno}: {exc}", file=sys.stderr)
-        else:
-            _show(result, args)
     return 0
 
 
@@ -175,8 +175,14 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused by every later one."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except ParseError as exc:

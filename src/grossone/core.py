@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import comb, gcd, lcm
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Tuple, Union
 
@@ -374,7 +374,18 @@ def scalar_mul(q: RationalLike, x: GrossNumber) -> GrossNumber:
 
 
 def power_int(x: GrossNumber, n: int) -> GrossNumber:
-    """Integer power; ``n < 0`` only for single-term numbers."""
+    """Integer power; ``n < 0`` only for single-term numbers.
+
+    Two paths give the same canonical value.  A base of two or more terms
+    whose grosspowers are all plain rationals is a polynomial in a power
+    of G1, and ``_dense_power`` expands its power coefficient by
+    coefficient.  Every other base, and one whose terms lie too far apart
+    for their count (the guard of ``_dense_power``), is raised by repeated
+    squaring through ``multiply``.
+
+    >>> power_int(GROSSONE + 1, 3)
+    G1^{3} + 3*G1^{2} + 3*G1 + 1
+    """
     if n == 0:
         if not x.terms:
             raise ZeroToNonpositivePower("0 cannot be raised to the power 0")
@@ -389,6 +400,10 @@ def power_int(x: GrossNumber, n: int) -> GrossNumber:
         term = x.terms[0]
         inverse = GrossNumber((GrossTerm(1 / term.coefficient, negate(term.exponent)),))
         return power_int(inverse, -n)
+    if n >= 2 and len(x.terms) >= 2:
+        dense = _dense_power(x, n)
+        if dense is not None:
+            return dense
     result = ONE
     base = x
     while n:
@@ -397,6 +412,53 @@ def power_int(x: GrossNumber, n: int) -> GrossNumber:
         base = multiply(base, base) if n > 1 else base
         n >>= 1
     return result
+
+
+def _dense_power(x: GrossNumber, n: int) -> GrossNumber | None:
+    """x^n by J. C. P. Miller's recurrence for powers of power series
+    (Knuth, TAOCP vol. 2, 4.7), or None to leave it to squaring.
+
+    With integer keys ``K_0 > ... > K_{m-1}`` and g the gcd of the offsets
+    ``K_0 - K_j``, x is ``G1^{K_0/L}`` times the polynomial ``sum a_i t^i``
+    in ``t = G1^{-g/L}``, of span ``s = (K_0 - K_{m-1})/g``; the lcm D of
+    the coefficient denominators makes every ``a_i`` an integer.  Then
+    ``b_0 = a_0^n`` and ``k*a_0*b_k = sum ((n+1)*i - k)*a_i*b_{k-i}``, an
+    exact integer division, give the power's coefficients ``b_k/D^n``.
+
+    Guard: the recurrence walks ``n*s + 1`` positions with up to m
+    products each, while squaring's last multiply pairs the at most
+    ``h = comb(n//2 + m - 1, m - 1)`` terms of ``x^(n//2)``.  The lane is
+    taken when ``n*s*m <= 32*h^2``: on random bases of 2 to 10 terms the
+    lane was the faster path below that ratio and lost to squaring from
+    about 45 at ``n = 2`` and 200 at ``n = 3``.  A wider span, such as
+    that of ``1 + G1^{-1} + G1^{-1000000}``, and a nested base (L is None)
+    return None.
+    """
+    denominator, xs, _ = _keyed(x, ONE)
+    if denominator is None:
+        return None
+    top = xs[0][0]
+    g = gcd(*[top - k for k, _ in xs])
+    span = (top - xs[-1][0]) // g
+    m = len(xs)
+    if n * span * m > 32 * comb(n // 2 + m - 1, m - 1) ** 2:
+        return None
+    scale = lcm(*[c.denominator for _, c in xs])
+    a0 = xs[0][1].numerator * (scale // xs[0][1].denominator)
+    tail = [((top - k) // g, c.numerator * (scale // c.denominator)) for k, c in xs[1:]]
+    b = [a0**n]
+    for k in range(1, n * span + 1):
+        total = 0
+        for i, a in tail:
+            if i > k:
+                break
+            c = b[k - i]
+            if c:
+                total += ((n + 1) * i - k) * a * c
+        b.append(total // (k * a0))
+    scale **= n
+    terms = [(n * top - k * g, Fraction(c, scale)) for k, c in enumerate(b) if c]
+    return _from_keyed(denominator, terms)
 
 
 def as_int(x: GrossNumber) -> int | None:

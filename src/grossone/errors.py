@@ -43,6 +43,11 @@ class ParityUndefined(GrossoneError):
     part, which have no even/odd classification."""
 
 
+class LimitExceeded(GrossoneError):
+    """A value is too large for an explicit limit; for now, a coefficient
+    with more digits than Python converts to text."""
+
+
 # ------------------------------------------------------------------- parsing
 
 

@@ -35,6 +35,7 @@ as fractions otherwise, and its output re-parses to the identical value.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -42,7 +43,7 @@ from typing import Any, Callable, Optional, Tuple
 
 from . import core
 from .core import GrossNumber, ONE, ZERO, from_rational, normalize
-from .errors import DepthLimitExceeded, ParseError, UnknownCharacter
+from .errors import DepthLimitExceeded, LimitExceeded, ParseError, UnknownCharacter
 
 MAX_NESTING = 100
 
@@ -350,15 +351,30 @@ def _parse_literal_term(stream: _TokenStream) -> tuple[Fraction, GrossNumber]:
     if token.kind is not TokenKind.DECIMAL_LIT:
         raise stream.fail("expected a coefficient or G1")
     stream.advance()
-    coefficient = Fraction(token.lexeme)
+    coefficient = _decimal(token)
     if stream.match(TokenKind.SLASH):
         denominator = stream.expect(TokenKind.DECIMAL_LIT, "a denominator")
-        if "." in token.lexeme + denominator.lexeme or not int(denominator.lexeme):
+        value = _decimal(denominator)
+        if "." in token.lexeme + denominator.lexeme or not value:
             raise ParseError("a fraction is integer / nonzero integer", token.line, token.column)
-        coefficient /= int(denominator.lexeme)
+        coefficient /= value
     if stream.match(TokenKind.STAR):
         return coefficient, _parse_literal_exponent(stream)
     return coefficient, ZERO
+
+
+def _decimal(token: Token) -> Fraction:
+    """The value of a DECIMAL_LIT token.  Python converts at most
+    ``sys.get_int_max_str_digits()`` digits, so a longer literal is
+    malformed input, reported at its position."""
+    try:
+        return Fraction(token.lexeme)
+    except ValueError:
+        raise ParseError(
+            f"number literal too long: more than {sys.get_int_max_str_digits()} digits",
+            token.line,
+            token.column,
+        ) from None
 
 
 def _parse_literal_exponent(stream: _TokenStream) -> GrossNumber:
@@ -489,7 +505,7 @@ def _parse_atom(stream: _TokenStream) -> Ast:
     token = stream.peek()
     if token.kind is TokenKind.DECIMAL_LIT:
         stream.advance()
-        return Literal(from_rational(Fraction(token.lexeme)))
+        return Literal(from_rational(_decimal(token)))
     if token.kind is TokenKind.GROSSONE:
         stream.advance()
         return GrossoneSymbol()
@@ -564,18 +580,24 @@ def _term_text(coefficient: Fraction, exponent: GrossNumber, digits: Optional[in
 
 
 def _coefficient_text(q: Fraction, digits: Optional[int]) -> str:
-    if digits is not None:
-        scaled = round(q * 10**digits)
-        text = _place_point(scaled, digits)
-        return text
-    if q.denominator == 1:
-        return str(q.numerator)
-    twos = _multiplicity(q.denominator, 2)
-    fives = _multiplicity(q.denominator, 5)
-    if q.denominator == 2**twos * 5**fives:
-        scale = max(twos, fives)
-        return _place_point(q.numerator * 10**scale // q.denominator, scale)
-    return f"{q.numerator}/{q.denominator}"
+    """A coefficient's digits; Python converts at most
+    ``sys.get_int_max_str_digits()`` digits of an integer to text, so a
+    longer coefficient raises LimitExceeded."""
+    try:
+        if digits is not None:
+            return _place_point(round(q * 10**digits), digits)
+        if q.denominator == 1:
+            return str(q.numerator)
+        twos = _multiplicity(q.denominator, 2)
+        fives = _multiplicity(q.denominator, 5)
+        if q.denominator == 2**twos * 5**fives:
+            scale = max(twos, fives)
+            return _place_point(q.numerator * 10**scale // q.denominator, scale)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        raise LimitExceeded(
+            f"a coefficient is too long to print: more than {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def _place_point(scaled: int, scale: int) -> str:

@@ -402,6 +402,67 @@ def test_repl_image_binding_prints_nothing_until_queried(tmp_path, capsys):
     assert out == "progression(start=1, step=1, count=0.5*G1)\n"
 
 
+def _in_process(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_reused_parser_answers_like_a_fresh_process(monkeypatch, capsys):
+    # main builds its parser once; each command in one process must still
+    # answer like the same command in a process of its own.
+    monkeypatch.setenv("COLUMNS", "80")
+    commands = [
+        ["eval", "1+G1"],
+        ["sum", "--upper", "G1"],
+        ["sum", "--summand", "i^2", "--upper", "G1"],
+        ["eval", "--help"],
+    ]
+    codes = []
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-m", "grossone.cli", *argv], capture_output=True, text=True
+        )
+        assert _in_process(capsys, argv) == (proc.returncode, proc.stdout, proc.stderr)
+        codes.append(proc.returncode)
+    assert codes == [0, 1, 0, 0]
+
+
+# Python converts at most this many digits between an integer and text.
+DIGIT_LIMIT = sys.get_int_max_str_digits()
+
+
+def test_huge_integer_output_is_a_limit_error(capsys):
+    code, out, err = run(capsys, "eval", "2^20000")
+    assert (code, out) == (3, "")
+    assert err == f"error: a coefficient is too long to print: more than {DIGIT_LIMIT} digits\n"
+    code, out, err = run(capsys, "eval", "--format", "decimal:2", "2^20000 + G1")
+    assert (code, out) == (3, "")
+    assert "too long to print" in err
+
+
+def test_huge_integer_literal_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "eval", "1 + " + "7" * 5000)
+    assert (code, out) == (2, "")
+    assert err == f"error: 1:5: number literal too long: more than {DIGIT_LIMIT} digits\n"
+    code, out, err = run(capsys, "sum", "--summand", "i", "--upper", "G1 + 1/" + "3" * 5000)
+    assert (code, out) == (2, "")
+    assert "1:8: number literal too long" in err
+
+
+def test_repl_reports_a_huge_value_and_goes_on(monkeypatch, capsys):
+    import io
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO("let a = 2^20000\na\na - a + 1\n"))
+    code = main(["repl"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (0, "1\n")
+    assert captured.err == f"<stdin>:2: a coefficient is too long to print: more than {DIGIT_LIMIT} digits\n"
+
+
 def test_module_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "grossone.cli", "eval", "G1^{-1} * G1"],

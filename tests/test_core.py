@@ -2,11 +2,14 @@
 classification, parity."""
 
 from fractions import Fraction
+from functools import reduce
+from math import comb
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from grossone import core
 from grossone.core import (
     DivResult,
     GROSSONE,
@@ -431,6 +434,50 @@ def test_exact_division_of_nested_product_gives_the_factor_back():
     assert len(product.terms) == 9
     assert divide(product, b) == DivResult(a, ZERO, True, 3)
     assert divide(product, a) == DivResult(b, ZERO, True, 3)
+
+
+# ------------------------------------------------- power_int dense lane
+
+# Bases of 2 to 4 terms with distinct rational grosspowers (denominators
+# 1, 2 and 4) and nonzero coefficients of both signs: the dense lane's
+# inputs.
+dense_lane_bases = st.lists(
+    st.tuples(
+        st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6)),
+        st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 4])),
+    ),
+    min_size=2,
+    max_size=4,
+    unique_by=lambda pair: pair[1],
+).map(lambda pairs: normalize((c, from_rational(p)) for c, p in pairs))
+
+
+@given(dense_lane_bases, st.integers(2, 12))
+def test_dense_power_matches_repeated_multiply(x, n):
+    result = power_int(x, n)
+    assert result == reduce(multiply, [x] * n)
+    assert hash(result) == hash(reduce(multiply, [x] * n))
+
+
+def test_dense_power_binomial_coefficients():
+    result = power_int(G1 + 1, 40)
+    assert result == normalize((comb(40, k), from_int(40 - k)) for k in range(41))
+    assert [t.coefficient for t in result.terms] == [comb(40, k) for k in range(41)]
+    assert result.terms[-1].exponent is ZERO
+
+
+def test_wide_span_power_takes_squaring():
+    x = 1 + G1_INV + monomial(1, -1000000)
+    assert core._dense_power(x, 3) is None
+    assert power_int(x, 3) == reference_multiply(reference_multiply(x, x), x)
+
+
+def test_nested_base_power_matches_reference():
+    mixed = monomial(3, G1 - 1) + G1 + monomial(Fraction(1, 2), Fraction(-1, 2))
+    for x in (G1 + monomial(2, G1) - 1, mixed):
+        square = reference_multiply(x, x)
+        assert power_int(x, 3) == reference_multiply(square, x)
+        assert power_int(x, 4) == reference_multiply(square, square)
 
 
 @given(small_rationals, small_rationals)
