@@ -13,6 +13,11 @@ The ordering is dominance order: the term with the largest grosspower
 decides the sign, so every infinite number exceeds every finite one, which
 in turn exceeds every infinitesimal, which is still strictly positive when
 its leading coefficient is.
+
+Inside ``multiply``, ``divide`` and ``power_int``'s dense lane the
+grossdigits of an operand run as integers over one common denominator
+(``_scaled``), so their loops do only integer arithmetic and a Fraction is
+built once per result term.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from typing import Iterable, NamedTuple, Tuple, Union
 from .errors import (
     DivisionByZero,
     InexactDivision,
+    LimitExceeded,
     NegativePowerOfNonMonomial,
     ParityUndefined,
     UnsupportedExponentiation,
@@ -303,8 +309,10 @@ def multiply(x: GrossNumber, y: GrossNumber) -> GrossNumber:
     decreasing (the exponents form an ordered group), so its terms, scaled
     and shifted, are already canonical and need no merge or sort.
     Otherwise one loop adds the exponent keys of ``_keyed`` pairwise,
-    merges like keys in a dict and sorts the keys; it is the same loop
-    whether the keys are integers or grosspowers.
+    multiplies the integer coefficients of ``_scaled``, merges like keys in
+    a dict and sorts the keys; it is the same loop whether the keys are
+    integers or grosspowers.  Each nonzero sum becomes one Fraction over
+    the product of the two scales.
     """
     if not x.terms or not y.terms:
         return ZERO
@@ -314,14 +322,15 @@ def multiply(x: GrossNumber, y: GrossNumber) -> GrossNumber:
         cy, py = y.terms[0]
         return GrossNumber(tuple(GrossTerm(cx * cy, add(px, py)) for cx, px in x.terms))
     denominator, xs, ys = _keyed(x, y)
+    dx, xs = _scaled(xs)
+    dy, ys = _scaled(ys)
     products: dict = {}
     for kx, cx in xs:
         for ky, cy in ys:
             key = kx + ky
-            c = cx * cy
-            previous = products.get(key)
-            products[key] = c if previous is None else previous + c
-    return _from_keyed(denominator, _decreasing(products))
+            products[key] = products.get(key, 0) + cx * cy
+    scale = dx * dy
+    return _from_keyed(denominator, [(k, Fraction(c, scale)) for k, c in _decreasing(products)])
 
 
 def _keyed(x: GrossNumber, y: GrossNumber):
@@ -346,11 +355,19 @@ def _keyed(x: GrossNumber, y: GrossNumber):
     return denominator, keyed[:split], keyed[split:]
 
 
+def _scaled(pairs: list) -> tuple[int, list]:
+    """``(scale, [(key, int)])`` for ``(key, Fraction)`` pairs: scale is the
+    lcm of the coefficient denominators, and each int is its coefficient
+    times scale."""
+    scale = lcm(*[c.denominator for _, c in pairs])
+    return scale, [(k, c.numerator * (scale // c.denominator)) for k, c in pairs]
+
+
 def _decreasing(merged: dict) -> list:
     """The ``(key, coefficient)`` pairs of a merge dict with a nonzero
     coefficient, keys decreasing.  Sorting on the key alone keeps a tuple
     sort from testing coefficients or grosspowers for equality."""
-    return sorted(((k, c) for k, c in merged.items() if c.numerator), key=itemgetter(0), reverse=True)
+    return sorted(((k, c) for k, c in merged.items() if c), key=itemgetter(0), reverse=True)
 
 
 def _from_keyed(denominator: int | None, keyed: list) -> GrossNumber:
@@ -443,9 +460,9 @@ def _dense_power(x: GrossNumber, n: int) -> GrossNumber | None:
     m = len(xs)
     if n * span * m > 32 * comb(n // 2 + m - 1, m - 1) ** 2:
         return None
-    scale = lcm(*[c.denominator for _, c in xs])
-    a0 = xs[0][1].numerator * (scale // xs[0][1].denominator)
-    tail = [((top - k) // g, c.numerator * (scale // c.denominator)) for k, c in xs[1:]]
+    scale, xs = _scaled(xs)
+    a0 = xs[0][1]
+    tail = [((top - k) // g, a) for k, a in xs[1:]]
     b = [a0**n]
     for k in range(1, n * span + 1):
         total = 0
@@ -496,7 +513,7 @@ def power_gross(x: GrossNumber, k: GrossNumber) -> GrossNumber:
     if len(x.terms) == 1 and x.terms[0].coefficient == 1:
         return GrossNumber((GrossTerm(Fraction(1), multiply(x.terms[0].exponent, k)),))
     raise UnsupportedExponentiation(
-        f"cannot represent ({x!r})^({k!r}) as a finite positional numeral"
+        f"cannot represent ({_shown(x)})^({_shown(k)}) as a finite positional numeral"
     )
 
 
@@ -520,28 +537,51 @@ def divide(x: GrossNumber, y: GrossNumber, max_terms: int = DEFAULT_DIV_TERMS) -
     remainder vanishes or ``max_terms`` terms have been emitted.  The
     identity ``x == quotient * y + remainder`` always holds exactly.
 
-    One loop runs on the exponent keys of ``_keyed``, integers or
-    grosspowers alike, and converts back to gross-numbers once at the end.
-    Each step divides the remainder's leading term by the divisor's, which
-    cancels that term exactly, so it is dropped rather than subtracted; the
-    rest of the remainder merges with the divisor's tail shifted by the
-    step (the monomial shift of ``multiply``).
+    A single-term divisor is a monomial shift, as in ``multiply``: the
+    quotient is the first ``max_terms`` terms of x divided by it and the
+    remainder is the rest of x.  Otherwise one loop runs on the exponent
+    keys of ``_keyed``, integers or grosspowers alike, and does fraction-free
+    (pseudo-)division on the integer coefficients of ``_scaled``
+    (Knuth, TAOCP vol. 2, 4.6.1).  The remainder is a list of integers
+    ``R`` over one running denominator ``d``, and the divisor's integer lead
+    is ``a0``.  A step with leading remainder coefficient ``c`` and
+    ``g = gcd(c, a0)`` emits one Fraction for its quotient term, drops the
+    leading term (it cancels exactly), and sets
+    ``R = (a0/g)*R[1:] - (c/g)*tail`` and ``d = d*a0/g``, where ``tail`` is
+    the divisor's tail shifted by the step.  The remainder becomes Fractions
+    once, at the end.
     """
     if not y.terms:
         raise DivisionByZero("division by zero")
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
-    denominator, remainder, ys = _keyed(x, y)
-    lead_key, lead_coeff = ys[0]
+    if len(y.terms) == 1:
+        cy, py = y.terms[0]
+        inverse, shift = 1 / cy, negate(py)
+        head = x.terms[:max_terms]
+        return DivResult(
+            GrossNumber(tuple(GrossTerm(cx * inverse, add(px, shift)) for cx, px in head)),
+            GrossNumber(x.terms[max_terms:]),
+            exact=len(x.terms) <= max_terms,
+            terms_emitted=len(head),
+        )
+    denominator, xs, ys = _keyed(x, y)
+    delta, remainder = _scaled(xs)
+    dy, ys = _scaled(ys)
+    lead_key, a0 = ys[0]
     tail = ys[1:]
     quotient = []
     while remainder and len(quotient) < max_terms:
-        key, coeff = remainder[0]
+        key, c = remainder[0]
         shift = key - lead_key
-        factor = coeff / lead_coeff
-        quotient.append((shift, factor))
-        # merge remainder[1:] with -factor * G1^shift * tail, keys decreasing
-        shifted = [(k + shift, -factor * c) for k, c in tail]
+        quotient.append((shift, Fraction(c * dy, delta * a0)))
+        g = gcd(c, a0)
+        s, t = a0 // g, c // g
+        if s != 1:
+            remainder = [(k, s * r) for k, r in remainder]
+            delta *= s
+        # merge remainder[1:] with -t * G1^shift * tail, keys decreasing
+        shifted = [(k + shift, -t * a) for k, a in tail]
         merged = []
         i, j = 1, 0
         n, m = len(remainder), len(shifted)
@@ -555,9 +595,9 @@ def divide(x: GrossNumber, y: GrossNumber, max_terms: int = DEFAULT_DIV_TERMS) -
                 merged.append(shifted[j])
                 j += 1
             else:
-                c = ca + cb
-                if c.numerator:
-                    merged.append((ka, c))
+                r = ca + cb
+                if r:
+                    merged.append((ka, r))
                 i += 1
                 j += 1
         merged.extend(remainder[i:])
@@ -565,7 +605,7 @@ def divide(x: GrossNumber, y: GrossNumber, max_terms: int = DEFAULT_DIV_TERMS) -
         remainder = merged
     return DivResult(
         _from_keyed(denominator, quotient),
-        _from_keyed(denominator, remainder),
+        _from_keyed(denominator, [(k, Fraction(r, delta)) for k, r in remainder]),
         exact=not remainder,
         terms_emitted=len(quotient),
     )
@@ -575,10 +615,19 @@ def exact_divide(x: GrossNumber, y: GrossNumber, max_terms: int = DEFAULT_DIV_TE
     result = divide(x, y, max_terms)
     if not result.exact:
         raise InexactDivision(
-            f"({x!r}) / ({y!r}) leaves remainder {result.remainder!r} "
+            f"({_shown(x)}) / ({_shown(y)}) leaves remainder {_shown(result.remainder)} "
             f"after {result.terms_emitted} quotient terms"
         )
     return result.quotient
+
+
+def _shown(x: GrossNumber) -> str:
+    """x as printed, or a fixed placeholder when a coefficient is too long
+    to print, so that an error message never fails to build."""
+    try:
+        return repr(x)
+    except LimitExceeded:
+        return "<a value too long to print>"
 
 
 def reciprocal(x: GrossNumber, max_terms: int = DEFAULT_DIV_TERMS) -> DivResult:
@@ -645,9 +694,9 @@ def parity(x: GrossNumber) -> Parity:
     for term in x.terms:
         s = sign(term.exponent)
         if s < 0:
-            raise ParityUndefined(f"{x!r} has an infinitesimal part")
+            raise ParityUndefined(f"{_shown(x)} has an infinitesimal part")
         if s == 0:
             if term.coefficient.denominator != 1:
-                raise ParityUndefined(f"{x!r} has a non-integer finite part")
+                raise ParityUndefined(f"{_shown(x)} has a non-integer finite part")
             finite_coeff = term.coefficient
     return Parity.EVEN if finite_coeff % 2 == 0 else Parity.ODD

@@ -56,10 +56,21 @@ def faulhaber(j: int, k: GrossNumber) -> GrossNumber:
     k = as_gross(k)
     if not k.terms:
         return ZERO
+    return _power_sum(j, _count_powers(k, j + 1))
+
+
+def _count_powers(k: GrossNumber, n: int) -> list[GrossNumber]:
+    """``[k, k^2, ..., k^n]``, each power computed once."""
+    return [core.power_int(k, e) for e in range(1, n + 1)]
+
+
+def _power_sum(j: int, powers: list[GrossNumber]) -> GrossNumber:
+    """Faulhaber's formula for 1^j + ... + k^j from ``powers[e-1] = k^e``,
+    e = 1..j+1."""
     total = ZERO
     for m in range(j + 1):
         coefficient = Fraction(comb(j + 1, m)) * bernoulli(m) / (j + 1)
-        total = total + scalar_mul(coefficient, core.power_int(k, j + 1 - m))
+        total = total + scalar_mul(coefficient, powers[j - m])
     return total
 
 
@@ -96,10 +107,10 @@ class PolynomialSummand:
 
 def sum_polynomial(p: PolynomialSummand, k: GrossNumber) -> GrossNumber:
     """Sum of p(i) for i = 1..k, exact for any gross-number count k."""
-    k = as_gross(k)
+    powers = _count_powers(as_gross(k), len(p.coefficients))
     total = ZERO
     for j, coefficient in enumerate(p.coefficients):
-        total = total + coefficient * faulhaber(j, k)
+        total = total + coefficient * _power_sum(j, powers)
     return total
 
 

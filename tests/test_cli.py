@@ -444,6 +444,18 @@ def test_huge_integer_output_is_a_limit_error(capsys):
     assert "too long to print" in err
 
 
+def test_errors_on_a_huge_value_keep_their_own_message(capsys):
+    code, out, err = run(capsys, "eval", "(2^20000 + G1)/(1+G1)")
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: (<a value too long to print>) / (G1 + 1) leaves remainder "
+        "<a value too long to print> after 20 quotient terms\n"
+    )
+    code, out, err = run(capsys, "eval", "(2^20000 + G1)^(1/2)")
+    assert (code, out) == (3, "")
+    assert err == "error: cannot represent (<a value too long to print>)^(0.5) as a finite positional numeral\n"
+
+
 def test_huge_integer_literal_is_a_parse_error(capsys):
     code, out, err = run(capsys, "eval", "1 + " + "7" * 5000)
     assert (code, out) == (2, "")

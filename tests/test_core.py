@@ -3,7 +3,7 @@ classification, parity."""
 
 from fractions import Fraction
 from functools import reduce
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given
@@ -13,6 +13,7 @@ from grossone import core
 from grossone.core import (
     DivResult,
     GROSSONE,
+    GrossNumber,
     NumClass,
     ONE,
     Parity,
@@ -434,6 +435,66 @@ def test_exact_division_of_nested_product_gives_the_factor_back():
     assert len(product.terms) == 9
     assert divide(product, b) == DivResult(a, ZERO, True, 3)
     assert divide(product, a) == DivResult(b, ZERO, True, 3)
+
+
+# Coefficients over wide, mostly coprime denominators, so that the common
+# denominators of multiply's and divide's integer coefficients run to many
+# digits; most divisor leads are negative or fractional.
+wide_rationals = st.builds(
+    Fraction,
+    st.integers(-10**6, 10**6).filter(bool),
+    st.one_of(st.integers(1, 10**6), st.sampled_from([999983, 999979, 2**19])),
+)
+wide_flat_numbers = st.builds(
+    normalize, st.lists(st.tuples(wide_rationals, st.builds(from_rational, _finite_powers)), max_size=6)
+)
+wide_nested_numbers = st.builds(
+    normalize, st.lists(st.tuples(wide_rationals, gross_numbers(max_depth=2, max_terms=3)), max_size=6)
+)
+
+
+@pytest.mark.parametrize("numbers", [wide_flat_numbers, wide_nested_numbers], ids=["flat", "nested"])
+@given(data=st.data())
+def test_wide_coefficients_match_reference(numbers, data):
+    x = data.draw(numbers)
+    y = data.draw(numbers.filter(bool))
+    assert multiply(x, y) == reference_multiply(x, y)
+    for budget in (1, 5, 20):
+        assert divide(x, y, budget) == reference_divide(x, y, budget)
+
+
+def _reduced(x):
+    return all(
+        t.coefficient.denominator > 0 and gcd(t.coefficient.numerator, t.coefficient.denominator) == 1
+        for t in x.terms
+    )
+
+
+def test_divide_by_a_lead_with_a_large_integer_part():
+    y = (10**30 + 7) + G1_INV
+    for x in (ONE, G1 + Fraction(3, 7), monomial(Fraction(-5, 11), Fraction(1, 2)) + 1):
+        for budget in (1, 5, 20):
+            result = divide(x, y, budget)
+            assert result == reference_divide(x, y, budget)
+            assert result.quotient * y + result.remainder == x
+            assert _reduced(result.quotient) and _reduced(result.remainder)
+    assert divide(ONE, y, 2).quotient.terms[1].coefficient == Fraction(-1, (10**30 + 7) ** 2)
+
+
+def test_single_term_divisor_splits_the_dividend():
+    x = normalize([
+        (Fraction(3, 2), from_int(4)), (-2, G1), (Fraction(1, 999983), from_int(1)),
+        (7, ZERO), (Fraction(-1, 3), monomial(-1, Fraction(1, 2))),
+    ])
+    assert len(x.terms) == 5
+    for y in (monomial(Fraction(-3, 7), G1 - Fraction(1, 2)), monomial(4, Fraction(-2, 3))):
+        for budget in (2, 5, 8):
+            result = divide(x, y, budget)
+            assert result == reference_divide(x, y, budget)
+            assert result.terms_emitted == min(budget, 5)
+            assert result.exact == (budget >= 5)
+            assert result.remainder == GrossNumber(x.terms[budget:])
+            assert result.quotient * y + result.remainder == x
 
 
 # ------------------------------------------------- power_int dense lane
