@@ -14,10 +14,12 @@ decides the sign, so every infinite number exceeds every finite one, which
 in turn exceeds every infinitesimal, which is still strictly positive when
 its leading coefficient is.
 
-Inside ``multiply``, ``divide`` and ``power_int``'s dense lane the
-grossdigits of an operand run as integers over one common denominator
-(``_scaled``), so their loops do only integer arithmetic and a Fraction is
-built once per result term.
+Inside ``multiply``, ``divide`` and ``power_int`` grosspowers and grossdigits
+run as integers: ``_keyed`` packs each grosspower into one integer key, whose
+sum and order are those of the grosspowers, and ``_scaled`` puts an operand's
+grossdigits over one common denominator.  So their loops do only integer
+arithmetic, and ``_from_keyed`` builds a grosspower and a Fraction once per
+result term.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cmp_to_key
 from math import comb, gcd, lcm
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Tuple, Union
@@ -206,7 +209,7 @@ def normalize(terms: Iterable[Tuple[RationalLike, GrossNumber]]) -> GrossNumber:
         c = coefficient if type(coefficient) is Fraction else Fraction(coefficient)
         previous = merged.get(exponent)
         merged[exponent] = c if previous is None else previous + c
-    return _from_keyed(None, _decreasing(merged))
+    return GrossNumber(tuple(GrossTerm(c, k) for k, c in _decreasing(merged)))
 
 
 def sign(x: GrossNumber) -> int:
@@ -308,11 +311,10 @@ def multiply(x: GrossNumber, y: GrossNumber) -> GrossNumber:
     fixed grosspower keeps the other operand's exponents strictly
     decreasing (the exponents form an ordered group), so its terms, scaled
     and shifted, are already canonical and need no merge or sort.
-    Otherwise one loop adds the exponent keys of ``_keyed`` pairwise,
-    multiplies the integer coefficients of ``_scaled``, merges like keys in
-    a dict and sorts the keys; it is the same loop whether the keys are
-    integers or grosspowers.  Each nonzero sum becomes one Fraction over
-    the product of the two scales.
+    Otherwise both operands are packed by ``_keyed``, where a grosspower
+    is one integer and adding two is ``+``, and ``_convolve`` multiplies
+    their integer coefficients from ``_scaled``.  Each nonzero sum becomes
+    one Fraction over the product of the two scales.
     """
     if not x.terms or not y.terms:
         return ZERO
@@ -321,38 +323,67 @@ def multiply(x: GrossNumber, y: GrossNumber) -> GrossNumber:
     if len(y.terms) == 1:
         cy, py = y.terms[0]
         return GrossNumber(tuple(GrossTerm(cx * cy, add(px, py)) for cx, px in x.terms))
-    denominator, xs, ys = _keyed(x, y)
+    codec, xs, ys = _keyed(x, y)
     dx, xs = _scaled(xs)
     dy, ys = _scaled(ys)
+    return _from_keyed(codec, [(k, Fraction(c, dx * dy)) for k, c in _convolve(xs, ys)])
+
+
+def _convolve(xs: list, ys: list) -> list:
+    """The ``(key, int)`` pairs of the product of two lists of them: keys
+    add, coefficients multiply, like keys merge; nonzero, keys decreasing."""
     products: dict = {}
     for kx, cx in xs:
         for ky, cy in ys:
             key = kx + ky
             products[key] = products.get(key, 0) + cx * cy
-    scale = dx * dy
-    return _from_keyed(denominator, [(k, Fraction(c, scale)) for k, c in _decreasing(products)])
+    return _decreasing(products)
 
 
-def _keyed(x: GrossNumber, y: GrossNumber):
-    """Both operands as ``(L, xs, ys)``: ``xs`` and ``ys`` list each
-    operand's terms as ``(key, coefficient)``, keys strictly decreasing.
+def _keyed(x: GrossNumber, y: GrossNumber, x_reach: int = 1, y_reach: int = 1):
+    """Both operands packed: ``(codec, xs, ys)``; ``xs`` and ``ys`` list each
+    operand's terms as ``(key, coefficient)``, keys strictly decreasing, and
+    ``codec`` is what ``_from_keyed`` needs to unpack them.
 
-    Two kinds of key, chosen here alone.  When every grosspower of x and y
-    is a plain rational, ``L`` is the lcm of their denominators and the key
-    of grosspower ``p`` is the integer ``p * L``.  Otherwise ``L`` is None
-    and the key is the grosspower itself.  Both kinds support ``+ - < >``,
-    so the loops of ``multiply`` and ``divide`` run on either.
+    A grosspower ``sum c_j*G1^{e_j}`` is a vector of digits over its inner
+    exponents, and dominance order compares such vectors lexicographically,
+    largest inner exponent first.  The basis is the distinct inner exponents
+    of every grosspower of x and y, decreasing; with L the lcm of the inner
+    coefficients' denominators, each digit ``c_j*L`` is an integer.  The key
+    packs the digits in balanced radix ``R = 2B + 1`` (Kronecker
+    substitution; Monagan and Pearce, "Sparse polynomial division using a
+    heap", JSC 2011).  While every digit lies in ``[-B, B]``, adding keys
+    adds grosspowers and ``<`` on keys is their order.  The digit bound
+    ``B = x_reach*mx + y_reach*my`` (mx, my the largest digits of x and y)
+    covers every digit the caller's loop can reach: reaches 1 and 1 for a
+    product, n and 0 for an n-th power, 1 and 2T for T division steps.
+    Over one basis element, as when all grosspowers are rational, key = digit.
     """
-    powers = []
-    for c, p in x.terms + y.terms:
-        q = as_rational(p)
-        if q is None:
-            return None, [(p, c) for c, p in x.terms], [(p, c) for c, p in y.terms]
-        powers.append((q, c))
-    denominator = lcm(*[q.denominator for q, _ in powers])
-    keyed = [(q.numerator * (denominator // q.denominator), c) for q, c in powers]
+    terms = x.terms + y.terms
+    inner: dict = {}
+    denominators = []
+    last = []  # each grosspower's last inner coefficient, its only one over one basis element
+    for _, p in terms:
+        q = 0
+        for q, e in p.terms:
+            inner[e] = None
+            denominators.append(q.denominator)
+        last.append(q)
+    basis = sorted(inner, key=cmp_to_key(compare), reverse=True)
+    scale = lcm(*denominators)
     split = len(x.terms)
-    return denominator, keyed[:split], keyed[split:]
+    if len(basis) <= 1:
+        places = [1]
+        keys = [q and q.numerator * (scale // q.denominator) for q in last]
+    else:
+        at = {e: i for i, e in enumerate(basis)}
+        digits = [[(c.numerator * (scale // c.denominator), at[e]) for c, e in p.terms] for _, p in terms]
+        mx, my = (max((abs(d) for v in part for d, _ in v), default=0) for part in (digits[:split], digits[split:]))
+        radix = 2 * (x_reach * mx + y_reach * my) + 1
+        places = [radix**i for i in range(len(basis) - 1, -1, -1)]
+        keys = [sum(d * places[i] for d, i in v) for v in digits]
+    keyed = [(k, c) for k, (c, _) in zip(keys, terms)]
+    return (basis, scale, places), keyed[:split], keyed[split:]
 
 
 def _scaled(pairs: list) -> tuple[int, list]:
@@ -370,17 +401,40 @@ def _decreasing(merged: dict) -> list:
     return sorted(((k, c) for k, c in merged.items() if c), key=itemgetter(0), reverse=True)
 
 
-def _from_keyed(denominator: int | None, keyed: list) -> GrossNumber:
-    """The gross-number of ``(key, coefficient)`` pairs from ``_keyed``,
-    keys strictly decreasing and coefficients nonzero.  An integer key 0
-    maps to the shared ZERO exponent, so finite results hash like their
-    rational value."""
-    if denominator is None:
-        return GrossNumber(tuple(GrossTerm(c, k) for k, c in keyed))
-    return GrossNumber(tuple(
-        GrossTerm(c, GrossNumber((GrossTerm(Fraction(k, denominator), ZERO),)) if k else ZERO)
-        for k, c in keyed
-    ))
+def _from_keyed(codec: tuple, keyed: list) -> GrossNumber:
+    """The gross-number of ``(key, coefficient)`` pairs packed by
+    ``_keyed``, keys strictly decreasing and coefficients nonzero.
+
+    Each key is read back as balanced digits, largest basis element
+    first: ``d = round(key / place)``, as the lower digits add up to less
+    than half a place, then ``key -= d * place``.  Within one call each
+    ``(digit, basis element)`` becomes one shared inner GrossTerm.  With
+    one basis element the key is the digit.  Key 0 maps to the shared ZERO
+    exponent, so finite results hash like their rational value.
+    """
+    basis, scale, places = codec
+    if len(basis) == 1:
+        unit = basis[0]
+        return GrossNumber(tuple(
+            GrossTerm(c, GrossNumber((GrossTerm(Fraction(k, scale), unit),)) if k else ZERO)
+            for k, c in keyed
+        ))
+    made: dict = {}
+    out = []
+    for key, c in keyed:
+        inner = []
+        for j, place in enumerate(places):
+            if not key:
+                break
+            d = (key + (place >> 1)) // place
+            if d:
+                key -= d * place
+                term = made.get((d, j))
+                if term is None:
+                    term = made[d, j] = GrossTerm(Fraction(d, scale), basis[j])
+                inner.append(term)
+        out.append(GrossTerm(c, GrossNumber(tuple(inner)) if inner else ZERO))
+    return GrossNumber(tuple(out))
 
 
 def scalar_mul(q: RationalLike, x: GrossNumber) -> GrossNumber:
@@ -393,54 +447,57 @@ def scalar_mul(q: RationalLike, x: GrossNumber) -> GrossNumber:
 def power_int(x: GrossNumber, n: int) -> GrossNumber:
     """Integer power; ``n < 0`` only for single-term numbers.
 
-    Two paths give the same canonical value.  A base of two or more terms
-    whose grosspowers are all plain rationals is a polynomial in a power
-    of G1, and ``_dense_power`` expands its power coefficient by
-    coefficient.  Every other base, and one whose terms lie too far apart
-    for their count (the guard of ``_dense_power``), is raised by repeated
-    squaring through ``multiply``.
+    A single term ``c*G1^p`` becomes ``c^n*G1^{n*p}`` directly.  A longer
+    base is packed once by ``_keyed``, with digits reaching n times the
+    base's, raised on integer keys and coefficients, and unpacked once.
+    Over one basis element it is a polynomial in a power of G1, which
+    ``_dense_power`` expands coefficient by coefficient; over more, or when
+    its terms lie too far apart for their count (the guard of
+    ``_dense_power``), ``_convolve`` squares it repeatedly.
 
     >>> power_int(GROSSONE + 1, 3)
     G1^{3} + 3*G1^{2} + 3*G1 + 1
     """
+    if not x.terms:
+        if n <= 0:
+            raise ZeroToNonpositivePower("0 cannot be raised to " + ("a negative power" if n else "the power 0"))
+        return ZERO
     if n == 0:
-        if not x.terms:
-            raise ZeroToNonpositivePower("0 cannot be raised to the power 0")
         return ONE
+    if len(x.terms) == 1:
+        c, p = x.terms[0]
+        return GrossNumber((GrossTerm(c**n, scalar_mul(n, p) if p.terms else ZERO),))
     if n < 0:
-        if not x.terms:
-            raise ZeroToNonpositivePower("0 cannot be raised to a negative power")
-        if len(x.terms) != 1:
-            raise NegativePowerOfNonMonomial(
-                "negative powers need a single-term number; use division instead"
-            )
-        term = x.terms[0]
-        inverse = GrossNumber((GrossTerm(1 / term.coefficient, negate(term.exponent)),))
-        return power_int(inverse, -n)
-    if n >= 2 and len(x.terms) >= 2:
-        dense = _dense_power(x, n)
-        if dense is not None:
-            return dense
-    result = ONE
-    base = x
-    while n:
-        if n & 1:
-            result = multiply(result, base)
-        base = multiply(base, base) if n > 1 else base
-        n >>= 1
-    return result
+        raise NegativePowerOfNonMonomial(
+            "negative powers need a single-term number; use division instead"
+        )
+    codec, xs, _ = _keyed(x, ZERO, n)
+    scale, xs = _scaled(xs)
+    scale **= n
+    keyed = _dense_power(xs, n) if len(codec[0]) == 1 else None
+    if keyed is None:
+        keyed, base = [(0, 1)], xs
+        while n:
+            if n & 1:
+                keyed = _convolve(keyed, base)
+            if n > 1:
+                base = _convolve(base, base)
+            n >>= 1
+    return _from_keyed(codec, [(k, Fraction(c, scale)) for k, c in keyed])
 
 
-def _dense_power(x: GrossNumber, n: int) -> GrossNumber | None:
-    """x^n by J. C. P. Miller's recurrence for powers of power series
-    (Knuth, TAOCP vol. 2, 4.7), or None to leave it to squaring.
+def _dense_power(xs: list, n: int) -> list | None:
+    """The ``(key, int)`` pairs of x^n by J. C. P. Miller's recurrence for
+    powers of power series (Knuth, TAOCP vol. 2, 4.7), or None to leave it
+    to squaring.  ``xs`` are x's ``(key, int)`` pairs over a one-element
+    basis, so a key is a multiple of one grosspower.
 
-    With integer keys ``K_0 > ... > K_{m-1}`` and g the gcd of the offsets
-    ``K_0 - K_j``, x is ``G1^{K_0/L}`` times the polynomial ``sum a_i t^i``
-    in ``t = G1^{-g/L}``, of span ``s = (K_0 - K_{m-1})/g``; the lcm D of
-    the coefficient denominators makes every ``a_i`` an integer.  Then
-    ``b_0 = a_0^n`` and ``k*a_0*b_k = sum ((n+1)*i - k)*a_i*b_{k-i}``, an
-    exact integer division, give the power's coefficients ``b_k/D^n``.
+    With keys ``K_0 > ... > K_{m-1}`` and g the gcd of the offsets
+    ``K_0 - K_j``, x is ``G1^{K_0}`` times the polynomial ``sum a_i t^i`` in
+    ``t = G1^{-g}`` (in units of the grosspower), of span
+    ``s = (K_0 - K_{m-1})/g``.  Then ``b_0 = a_0^n`` and
+    ``k*a_0*b_k = sum ((n+1)*i - k)*a_i*b_{k-i}``, an exact integer
+    division, give the power's coefficients ``b_k``.
 
     Guard: the recurrence walks ``n*s + 1`` positions with up to m
     products each, while squaring's last multiply pairs the at most
@@ -448,19 +505,14 @@ def _dense_power(x: GrossNumber, n: int) -> GrossNumber | None:
     taken when ``n*s*m <= 32*h^2``: on random bases of 2 to 10 terms the
     lane was the faster path below that ratio and lost to squaring from
     about 45 at ``n = 2`` and 200 at ``n = 3``.  A wider span, such as
-    that of ``1 + G1^{-1} + G1^{-1000000}``, and a nested base (L is None)
-    return None.
+    that of ``1 + G1^{-1} + G1^{-1000000}``, returns None.
     """
-    denominator, xs, _ = _keyed(x, ONE)
-    if denominator is None:
-        return None
     top = xs[0][0]
     g = gcd(*[top - k for k, _ in xs])
     span = (top - xs[-1][0]) // g
     m = len(xs)
     if n * span * m > 32 * comb(n // 2 + m - 1, m - 1) ** 2:
         return None
-    scale, xs = _scaled(xs)
     a0 = xs[0][1]
     tail = [((top - k) // g, a) for k, a in xs[1:]]
     b = [a0**n]
@@ -473,9 +525,7 @@ def _dense_power(x: GrossNumber, n: int) -> GrossNumber | None:
             if c:
                 total += ((n + 1) * i - k) * a * c
         b.append(total // (k * a0))
-    scale **= n
-    terms = [(n * top - k * g, Fraction(c, scale)) for k, c in enumerate(b) if c]
-    return _from_keyed(denominator, terms)
+    return [(n * top - k * g, c) for k, c in enumerate(b) if c]
 
 
 def as_int(x: GrossNumber) -> int | None:
@@ -539,8 +589,8 @@ def divide(x: GrossNumber, y: GrossNumber, max_terms: int = DEFAULT_DIV_TERMS) -
 
     A single-term divisor is a monomial shift, as in ``multiply``: the
     quotient is the first ``max_terms`` terms of x divided by it and the
-    remainder is the rest of x.  Otherwise one loop runs on the exponent
-    keys of ``_keyed``, integers or grosspowers alike, and does fraction-free
+    remainder is the rest of x.  Otherwise one loop runs on the integer
+    keys of ``_keyed``, packed for ``max_terms`` steps, and does fraction-free
     (pseudo-)division on the integer coefficients of ``_scaled``
     (Knuth, TAOCP vol. 2, 4.6.1).  The remainder is a list of integers
     ``R`` over one running denominator ``d``, and the divisor's integer lead
@@ -565,7 +615,7 @@ def divide(x: GrossNumber, y: GrossNumber, max_terms: int = DEFAULT_DIV_TERMS) -
             exact=len(x.terms) <= max_terms,
             terms_emitted=len(head),
         )
-    denominator, xs, ys = _keyed(x, y)
+    codec, xs, ys = _keyed(x, y, 1, 2 * max_terms)
     delta, remainder = _scaled(xs)
     dy, ys = _scaled(ys)
     lead_key, a0 = ys[0]
@@ -604,8 +654,8 @@ def divide(x: GrossNumber, y: GrossNumber, max_terms: int = DEFAULT_DIV_TERMS) -
         merged.extend(shifted[j:])
         remainder = merged
     return DivResult(
-        _from_keyed(denominator, quotient),
-        _from_keyed(denominator, [(k, Fraction(r, delta)) for k, r in remainder]),
+        _from_keyed(codec, quotient),
+        _from_keyed(codec, [(k, Fraction(r, delta)) for k, r in remainder]),
         exact=not remainder,
         terms_emitted=len(quotient),
     )

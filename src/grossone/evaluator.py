@@ -250,7 +250,7 @@ def apply_piecewise(fn: PiecewiseFn, argument: GrossNumber, env: Env) -> GrossNu
     for branch in fn.branches:
         if compare(argument, branch.breakpoint) in _RELATIONS[branch.relation]:
             return evaluate(branch.body, env.bind(fn.param, argument))
-    raise NoBranchMatched(f"no branch of {fn.param}-piecewise function matches {argument!r}")
+    raise NoBranchMatched(f"no branch of {fn.param}-piecewise function matches {core._shown(argument)}")
 
 
 def make_function(definition: PiecewiseDef, env: Env) -> Function:

@@ -104,14 +104,14 @@ def affine_image(s: ProgressionSet, a: Fraction, b: Fraction = Fraction(0)) -> P
 def remove_one(s: ProgressionSet, x: GrossLike) -> GrossNumber:
     """Element count after removing a member: count - 1."""
     if not member(x, s):
-        raise NotAMember(f"{as_gross(x)!r} is not an element of the set")
+        raise NotAMember(f"{core._shown(as_gross(x))} is not an element of the set")
     return s.count - 1
 
 
 def add_one(s: ProgressionSet, x: GrossLike) -> GrossNumber:
     """Element count after adjoining a non-member: count + 1."""
     if member(x, s):
-        raise AlreadyMember(f"{as_gross(x)!r} is already an element of the set")
+        raise AlreadyMember(f"{core._shown(as_gross(x))} is already an element of the set")
     return s.count + 1
 
 

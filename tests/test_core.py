@@ -529,7 +529,8 @@ def test_dense_power_binomial_coefficients():
 
 def test_wide_span_power_takes_squaring():
     x = 1 + G1_INV + monomial(1, -1000000)
-    assert core._dense_power(x, 3) is None
+    _, xs, _ = core._keyed(x, ZERO, 3)
+    assert core._dense_power(core._scaled(xs)[1], 3) is None
     assert power_int(x, 3) == reference_multiply(reference_multiply(x, x), x)
 
 
@@ -539,6 +540,58 @@ def test_nested_base_power_matches_reference():
         square = reference_multiply(x, x)
         assert power_int(x, 3) == reference_multiply(square, x)
         assert power_int(x, 4) == reference_multiply(square, square)
+
+
+# ---------------------------------------------------------- packed keys
+
+# Grosspowers over six inner exponents whose inner digits (over L = 3) are
+# +-6 or +-7, so that the digits of sums and products land on the bound B
+# of the packed keys' balanced radix R = 2B + 1.  Each operand spans at
+# least three inner exponents, so its keys use the radix.
+_inner_exponents = (G1 + 1, G1, from_int(2), ZERO, monomial(-1, Fraction(1, 2)), -G1)
+_packed_grosspowers = st.lists(
+    st.tuples(st.sampled_from([Fraction(d, 3) for d in (-7, -6, 6, 7)]), st.sampled_from(_inner_exponents)),
+    min_size=1,
+    max_size=4,
+    unique_by=lambda pair: pair[1],
+).map(normalize)
+packed_numbers = st.lists(
+    st.tuples(small_rationals.filter(bool), _packed_grosspowers), min_size=2, max_size=4
+).map(normalize).filter(lambda x: len({e for _, p in x.terms for _, e in p.terms}) >= 3)
+
+
+@given(packed_numbers, packed_numbers)
+def test_packed_keys_multiply_and_divide_match_reference(x, y):
+    assert multiply(x, y) == reference_multiply(x, y)
+    for budget in (1, 5, 20, 200):
+        assert divide(x, y, budget) == reference_divide(x, y, budget)
+
+
+@given(packed_numbers, st.integers(2, 6))
+def test_packed_keys_power_matches_repeated_multiply(x, n):
+    assert power_int(x, n) == reduce(reference_multiply, [x] * n)
+
+
+def test_one_inner_exponent_base_takes_the_dense_lane():
+    x = monomial(1, 2 * G1) + monomial(3, G1) + 1
+    codec, xs, _ = core._keyed(x, ZERO, 7)
+    assert len(codec[0]) == 1
+    assert core._dense_power(core._scaled(xs)[1], 7) is not None
+    assert power_int(x, 7) == reduce(multiply, [x] * 7) == reduce(reference_multiply, [x] * 7)
+
+
+@pytest.mark.parametrize("x", [
+    monomial(Fraction(-3, 2), ZERO),
+    monomial(Fraction(2, 5), Fraction(-1, 3)),
+    monomial(-7, G1 + monomial(Fraction(1, 2), G1 - 1) - 2),
+], ids=["finite", "rational", "nested"])
+def test_single_term_power_matches_repeated_multiply(x):
+    inverse = divide(ONE, x).quotient
+    for n in range(-5, 51):
+        expected = reduce(multiply, [x if n > 0 else inverse] * abs(n), ONE)
+        assert power_int(x, n) == expected
+        if n < 0:
+            assert multiply(power_int(x, n), power_int(x, -n)) == ONE
 
 
 @given(small_rationals, small_rationals)

@@ -111,6 +111,12 @@ def test_no_branch_matched():
         apply_piecewise(fn, ONE, Env())
 
 
+def test_no_branch_matched_names_a_value_too_long_to_print():
+    env = session("def f(x) = { 1 if x < 0 }")
+    with pytest.raises(NoBranchMatched, match="matches <a value too long to print>"):
+        run("f(2^20000)", env)
+
+
 def test_breakpoints_evaluated_at_definition_time():
     env = session("let b = 5", "def h(x) = { 0 if x < b; 1 if x >= b }")
     fn = env.function("h")

@@ -164,6 +164,13 @@ def test_membership_preconditions():
         add_one(NATURALS, from_int(2))
 
 
+def test_membership_errors_name_a_value_too_long_to_print():
+    with pytest.raises(NotAMember, match="^<a value too long to print> is not"):
+        remove_one(NATURALS, -from_int(2**20000))
+    with pytest.raises(AlreadyMember, match="^<a value too long to print> is already"):
+        add_one(NATURALS, from_int(2**20000))
+
+
 # -------------------------------------------------------------- tuple counts
 
 
