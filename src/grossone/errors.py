@@ -44,8 +44,9 @@ class ParityUndefined(GrossoneError):
 
 
 class LimitExceeded(GrossoneError):
-    """A value is too large for an explicit limit; for now, a coefficient
-    with more digits than Python converts to text."""
+    """An explicit limit was reached: a coefficient with more digits than
+    Python converts to text, or function calls nested deeper than
+    ``evaluator.MAX_CALL_LEVELS`` levels."""
 
 
 # ------------------------------------------------------------------- parsing

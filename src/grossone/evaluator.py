@@ -1,32 +1,34 @@
 """Expression evaluation at arbitrary gross-number points.
 
 Instead of taking limits, expressions are evaluated directly: substitute an
-infinite or infinitesimal argument and compute the exact result.  Functions
-may be plain expressions of one parameter or piecewise definitions whose
-branches are selected by comparing the argument against breakpoints, which
-is always decidable in the total dominance order.
+infinite or infinitesimal argument and compute the exact result.  A function
+is its parsed ``PiecewiseDef``, whose branches are selected by comparing the
+argument against breakpoints, which is always decidable in the total
+dominance order.  Active calls nest at most ``MAX_CALL_LEVELS`` levels.
 
-Names, functions, progression sets and the division budget all live in one
-``Env``.  The sets N (the naturals, count G1) and E (the even naturals,
-count G1/2) are predefined names; the builtins count, product, member and
-image work on them, and user bindings and definitions shadow them.
+``Env`` holds the division budget and one mapping for every name, whether
+it holds a number, a set, a boolean or a function.  The sets N (the
+naturals, count G1) and E (the even naturals, count G1/2) are predefined
+names; the builtins count, product, member and image run only for an
+unbound name, so every binding shadows them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Tuple, Union
+from contextvars import ContextVar
+from dataclasses import dataclass, field, replace
+from typing import Mapping, Optional, Union
 
 from . import core
-from .core import GROSSONE, GrossNumber, as_rational, compare
-from .errors import EvalError, NoBranchMatched, UnboundName
+from .core import GrossNumber, as_rational, compare
+from .errors import EvalError, LimitExceeded, NoBranchMatched, UnboundName
 from .numio import (
     MAX_NESTING,
     Ast,
     Binary,
+    Branch,
     Call,
     Compare,
-    GrossoneSymbol,
     LetBinding,
     Literal,
     PiecewiseDef,
@@ -47,31 +49,11 @@ from .setcalc import (
 )
 
 
-@dataclass(frozen=True)
-class ExprFunction:
-    """A one-parameter function given by a single expression body."""
+Value = Union[GrossNumber, ProgressionSet, bool, PiecewiseDef]
 
-    param: str
-    body: Ast
-
-
-@dataclass(frozen=True)
-class PiecewiseBranch:
-    relation: str
-    breakpoint: GrossNumber
-    body: Ast
-
-
-@dataclass(frozen=True)
-class PiecewiseFn:
-    """Sign-conditioned piecewise function; branches are tested in order."""
-
-    param: str
-    branches: Tuple[PiecewiseBranch, ...]
-
-
-Function = Union[ExprFunction, PiecewiseFn]
-Value = Union[GrossNumber, ProgressionSet, bool]
+# Deeper recursion raises LimitExceeded well before Python's stack limit.
+MAX_CALL_LEVELS = 400
+_call_levels: ContextVar[int] = ContextVar("_call_levels", default=0)
 
 
 def _predefined_sets() -> dict[str, Value]:
@@ -87,7 +69,6 @@ class Env:
     """
 
     bindings: Mapping[str, Value] = field(default_factory=_predefined_sets)
-    functions: Mapping[str, Function] = field(default_factory=dict)
     div_max_terms: Optional[int] = None
 
     def lookup(self, name: str) -> Value:
@@ -96,17 +77,8 @@ class Env:
         except KeyError:
             raise UnboundName(name) from None
 
-    def function(self, name: str) -> Function:
-        try:
-            return self.functions[name]
-        except KeyError:
-            raise UnboundName(name) from None
-
     def bind(self, name: str, value: Value) -> "Env":
-        return Env({**self.bindings, name: value}, self.functions, self.div_max_terms)
-
-    def define(self, name: str, fn: Function) -> "Env":
-        return Env(self.bindings, {**self.functions, name: fn}, self.div_max_terms)
+        return Env({**self.bindings, name: value}, self.div_max_terms)
 
     def divide(self, x: GrossNumber, y: GrossNumber) -> GrossNumber:
         """x / y: exact, raising InexactDivision when the quotient does not
@@ -128,13 +100,11 @@ _RELATIONS = {
 def evaluate(ast: Ast, env: Env) -> GrossNumber:
     """Evaluate an expression to an exact gross-number.
 
-    Division follows ``env.divide``.  A set or a boolean where a number is
-    needed raises EvalError.
+    Division follows ``env.divide``.  A set, a boolean or a function where
+    a number is needed raises EvalError.
     """
     if isinstance(ast, Literal):
         return ast.value
-    if isinstance(ast, GrossoneSymbol):
-        return GROSSONE
     if isinstance(ast, Var):
         return _number(env.lookup(ast.name), ast.name)
     if isinstance(ast, Unary):
@@ -166,14 +136,17 @@ def evaluate_value(ast: Ast, env: Env) -> Value:
     """Evaluate at statement level, where a comparison or member(...) gives
     a boolean and a set name or image(...) gives a set.
 
-    A number whose numeral would nest deeper than ``MAX_NESTING`` braces
-    raises EvalError, so every value a session holds prints as text that
-    parses again.
+    A function name is not a value and raises EvalError.  So does a number
+    whose numeral would nest deeper than ``MAX_NESTING`` braces, so every
+    value a session holds prints as text that parses again.
     """
     if isinstance(ast, Compare):
         return evaluate_compare(ast, env)
     if isinstance(ast, Var):
-        return env.lookup(ast.name)
+        value = env.lookup(ast.name)
+        if isinstance(value, PiecewiseDef):
+            raise EvalError(f"{ast.name} is a function, not a value")
+        return value
     value = _call(ast, env) if isinstance(ast, Call) else evaluate(ast, env)
     if isinstance(value, GrossNumber) and brace_depth(value) > MAX_NESTING:
         raise EvalError(f"the result would print nested deeper than {MAX_NESTING} braces")
@@ -186,11 +159,13 @@ def evaluate_compare(ast: Compare, env: Env) -> bool:
     return compare(left, right) in _RELATIONS[ast.op]
 
 
+_KINDS = {GrossNumber: "number", ProgressionSet: "set", bool: "boolean", PiecewiseDef: "function"}
+
+
 def _number(value: Value, what: str) -> GrossNumber:
     if isinstance(value, GrossNumber):
         return value
-    kind = "set" if isinstance(value, ProgressionSet) else "boolean"
-    raise EvalError(f"{what} is a {kind}, not a number")
+    raise EvalError(f"{what} is a {_KINDS[type(value)]}, not a number")
 
 
 # name -> (argument count, usage message); product takes any number
@@ -203,69 +178,88 @@ _BUILTINS = {
 
 
 def _call(ast: Call, env: Env) -> Value:
-    if ast.name in _BUILTINS and ast.name not in env.functions:
-        return _builtin(ast.name, ast.args, env)
-    fn = env.function(ast.name)
-    if len(ast.args) != 1:
-        raise EvalError(f"{ast.name} takes exactly one argument")
-    return apply_function(fn, evaluate(ast.args[0], env), env)
-
-
-def _builtin(name: str, args: Tuple[Ast, ...], env: Env) -> Value:
+    """Apply the function bound to the name, or run the builtin of an unbound
+    name; arguments are evaluated here, so they nest as ``_height`` counts."""
+    name, args = ast.name, ast.args
+    fn = env.bindings.get(name)
+    if isinstance(fn, PiecewiseDef):
+        if len(args) != 1:
+            raise EvalError(f"{name} takes exactly one argument")
+        return apply_function(fn, evaluate(args[0], env), env)
+    if fn is not None:
+        raise EvalError(f"{name} is a {_KINDS[type(fn)]}, not a function")
+    if name not in _BUILTINS:
+        raise UnboundName(name)
     arity, usage = _BUILTINS[name]
     if arity is not None and len(args) != arity:
         raise EvalError(usage)
     if name == "product":
         return product_count([evaluate(arg, env) for arg in args])
-    if name == "count":
-        return count(_set(args[0], env))
     if name == "member":
-        return member(evaluate(args[0], env), _set(args[1], env))
-    source = _set(args[0], env)
-    return affine_image(source, _rational(args[1], env, "scale"), _rational(args[2], env, "offset"))
+        return member(evaluate(args[0], env), _set(evaluate_value(args[1], env), args[1]))
+    source = _set(evaluate_value(args[0], env), args[0])
+    if name == "count":
+        return count(source)
+    return affine_image(
+        source, _rational(evaluate(args[1], env), "scale"), _rational(evaluate(args[2], env), "offset")
+    )
 
 
-def _set(ast: Ast, env: Env) -> ProgressionSet:
-    value = evaluate_value(ast, env)
+def _set(value: Value, ast: Ast) -> ProgressionSet:
     if isinstance(value, ProgressionSet):
         return value
     raise EvalError(f"{ast.name if isinstance(ast, Var) else 'the argument'} is not a set")
 
 
-def _rational(ast: Ast, env: Env, what: str):
-    q = as_rational(evaluate(ast, env))
+def _rational(value: GrossNumber, what: str):
+    q = as_rational(value)
     if q is None:
         raise EvalError(f"the {what} must be a finite rational")
     return q
 
 
-def apply_function(fn: Function, argument: GrossNumber, env: Env) -> GrossNumber:
-    if isinstance(fn, ExprFunction):
-        return evaluate(fn.body, env.bind(fn.param, argument))
-    return apply_piecewise(fn, argument, env)
+def _height(ast: Ast) -> int:
+    """The Python frames that evaluating ``ast`` holds, leaves aside: one per
+    operator and three per call on its deepest path."""
+    if isinstance(ast, Call):
+        return 3 + max(map(_height, ast.args), default=0)
+    if isinstance(ast, Unary):
+        return 1 + _height(ast.operand)
+    if isinstance(ast, Binary) and ast.op != "^":
+        first, rest = operator_chain(ast)
+        return 1 + max(_height(first), *(_height(operand) for _, operand in rest))
+    if isinstance(ast, (Binary, Compare)):
+        return 1 + max(_height(ast.left), _height(ast.right))
+    return 0
 
 
-def apply_piecewise(fn: PiecewiseFn, argument: GrossNumber, env: Env) -> GrossNumber:
-    """Evaluate the first branch whose condition holds for the argument."""
-    for branch in fn.branches:
-        if compare(argument, branch.breakpoint) in _RELATIONS[branch.relation]:
-            return evaluate(branch.body, env.bind(fn.param, argument))
+def apply_function(fn: PiecewiseDef, argument: GrossNumber, env: Env) -> GrossNumber:
+    """Evaluate the first branch whose condition holds for the argument,
+    holding ``fn.levels`` of the MAX_CALL_LEVELS levels while it runs."""
+    levels = _call_levels.get() + fn.levels
+    if levels > MAX_CALL_LEVELS:
+        raise LimitExceeded(f"calls of {fn.name} nest deeper than {MAX_CALL_LEVELS} levels")
+    token = _call_levels.set(levels)
+    try:
+        for branch in fn.branches:
+            relation = branch.relation
+            if relation is None or compare(argument, branch.breakpoint.value) in _RELATIONS[relation]:
+                return evaluate(branch.body, env.bind(fn.param, argument))
+    finally:
+        _call_levels.reset(token)
     raise NoBranchMatched(f"no branch of {fn.param}-piecewise function matches {core._shown(argument)}")
 
 
-def make_function(definition: PiecewiseDef, env: Env) -> Function:
-    """Build a callable function from a parsed definition.
-
-    Breakpoints are evaluated once, at definition time, so branch selection
-    later needs nothing but a comparison.
-    """
-    if definition.body is not None:
-        return ExprFunction(definition.param, definition.body)
+def make_function(definition: PiecewiseDef, env: Env) -> PiecewiseDef:
+    """The definition ready to call: breakpoints are evaluated once, at
+    definition time, so branch selection later needs nothing but a
+    comparison, and a call holds one level plus its deepest body's height."""
     branches = tuple(
-        PiecewiseBranch(branch.relation, evaluate(branch.breakpoint, env), branch.body)
-        for branch in definition.branches
+        Branch(b.body, b.relation, None if b.relation is None else Literal(evaluate(b.breakpoint, env)))
+        for b in definition.branches
     )
-    return PiecewiseFn(definition.param, branches)
+    levels = 1 + max(_height(b.body) for b in branches)
+    return replace(definition, branches=branches, levels=levels)
 
 
 StatementResult = Optional[Value]
@@ -277,7 +271,7 @@ def exec_statement(ast: Ast, env: Env) -> tuple[Env, StatementResult]:
     if isinstance(ast, LetBinding):
         return env.bind(ast.name, evaluate_value(ast.expr, env)), None
     if isinstance(ast, PiecewiseDef):
-        return env.define(ast.name, make_function(ast, env)), None
+        return env.bind(ast.name, make_function(ast, env)), None
     return env, evaluate_value(ast, env)
 
 

@@ -187,11 +187,6 @@ class Literal(Ast):
 
 
 @dataclass(frozen=True)
-class GrossoneSymbol(Ast):
-    pass
-
-
-@dataclass(frozen=True)
 class Var(Ast):
     name: str
 
@@ -224,19 +219,23 @@ class Compare(Ast):
 
 @dataclass(frozen=True)
 class Branch:
-    """One piecewise branch: ``body`` applies when param <rel> breakpoint."""
+    """One piecewise branch: ``body`` applies when param <relation>
+    breakpoint, and always when ``relation`` is None."""
 
     body: Ast
-    relation: str
-    breakpoint: Ast
+    relation: Optional[str] = None
+    breakpoint: Optional[Ast] = None
 
 
 @dataclass(frozen=True)
 class PiecewiseDef(Ast):
+    """A one-parameter function; its branches are tested in order.  A plain
+    ``def g(x) = body`` has the one branch ``Branch(body)``."""
+
     name: str
     param: str
     branches: Tuple[Branch, ...]
-    body: Optional[Ast] = None  # set for plain (non-piecewise) definitions
+    levels: int = 0  # set by evaluator.make_function: what one call holds
 
 
 @dataclass(frozen=True)
@@ -419,8 +418,7 @@ def _parse_def(stream: _TokenStream) -> PiecewiseDef:
     stream.expect(TokenKind.RPAREN, "')'")
     stream.expect(TokenKind.ASSIGN, "'='")
     if not stream.match(TokenKind.LBRACE):
-        body = _parse_additive(stream)
-        return PiecewiseDef(name, param, (), body)
+        return PiecewiseDef(name, param, (Branch(_parse_additive(stream)),))
     branches: list[Branch] = []
     while True:
         body = _parse_additive(stream)
@@ -508,7 +506,7 @@ def _parse_atom(stream: _TokenStream) -> Ast:
         return Literal(from_rational(_decimal(token)))
     if token.kind is TokenKind.GROSSONE:
         stream.advance()
-        return GrossoneSymbol()
+        return Literal(core.GROSSONE)
     if token.kind is TokenKind.IDENT:
         stream.advance()
         if stream.match(TokenKind.LPAREN):

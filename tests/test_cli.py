@@ -324,6 +324,30 @@ def test_repl_sets_share_the_namespace(tmp_path, capsys):
     assert err == f"{script}:6: N is not a set\n"
 
 
+@pytest.mark.parametrize(
+    "session, message",
+    [
+        ("def N(x) = x\ncount(N)\n", "<stdin>:2: N is a function, not a value"),
+        ("let count = 5\ncount(N)\n", "<stdin>:2: count is a number, not a function"),
+        ("def a(x) = x\nlet a = 1\na(5)\n", "<stdin>:3: a is a number, not a function"),
+        ("let f = 2\nf(3)\n", "<stdin>:2: f is a number, not a function"),
+        ("def a(x) = x\na\n", "<stdin>:2: a is a function, not a value"),
+        ("def f(x) = f(x)\nf(1)\n", "<stdin>:2: calls of f nest deeper than 400 levels"),
+    ],
+)
+def test_repl_names_what_a_binding_holds(monkeypatch, capsys, session, message):
+    import io
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO(session + "1 + 1\n"))
+    code = main(["repl"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (0, "2\n", message + "\n")
+
+
+def test_eval_calling_a_set_is_an_evaluation_error(capsys):
+    assert run(capsys, "eval", "N(2)") == (3, "", "error: N is a set, not a function\n")
+
+
 def test_repl_quit_stops_processing(tmp_path, capsys):
     script = tmp_path / "session.txt"
     script.write_text("1 + 1\n:quit\n2 + 2\n", encoding="utf-8")

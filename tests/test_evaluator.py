@@ -2,6 +2,7 @@
 infinitesimal points."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -20,22 +21,22 @@ from grossone.core import (
 from grossone.errors import (
     DivisionByZero,
     EvalError,
+    GrossoneError,
     InexactDivision,
+    LimitExceeded,
     NoBranchMatched,
     UnboundName,
 )
 from grossone.evaluator import (
+    MAX_CALL_LEVELS,
     Env,
     evaluate_value,
-    ExprFunction,
-    PiecewiseBranch,
-    PiecewiseFn,
-    apply_piecewise,
+    apply_function,
     evaluate,
     evaluate_compare,
     exec_statement,
 )
-from grossone.numio import parse_expression, parse_statement
+from grossone.numio import Branch, Literal, PiecewiseDef, parse_expression, parse_statement
 from grossone.setcalc import NATURALS, affine_image
 
 from support import small_rationals
@@ -97,18 +98,18 @@ def test_finite_inputs_match_rational_arithmetic(example_env):
 
 
 def test_apply_piecewise_branches(example_env):
-    f = example_env.function("f")
-    assert apply_piecewise(f, scalar_mul(-2, monomial(1, -1)), example_env) == scalar_mul(
+    f = example_env.lookup("f")
+    assert apply_function(f, scalar_mul(-2, monomial(1, -1)), example_env) == scalar_mul(
         -4, monomial(1, -1)
     )
-    assert apply_piecewise(f, ZERO, example_env) == ONE
-    assert apply_piecewise(f, monomial(1, -1), example_env) == monomial(1, -3)
+    assert apply_function(f, ZERO, example_env) == ONE
+    assert apply_function(f, monomial(1, -1), example_env) == monomial(1, -3)
 
 
 def test_no_branch_matched():
-    fn = PiecewiseFn("x", (PiecewiseBranch("<", ZERO, parse_expression("x")),))
+    fn = PiecewiseDef("f", "x", (Branch(parse_expression("x"), "<", Literal(ZERO)),))
     with pytest.raises(NoBranchMatched):
-        apply_piecewise(fn, ONE, Env())
+        apply_function(fn, ONE, Env())
 
 
 def test_no_branch_matched_names_a_value_too_long_to_print():
@@ -119,22 +120,22 @@ def test_no_branch_matched_names_a_value_too_long_to_print():
 
 def test_breakpoints_evaluated_at_definition_time():
     env = session("let b = 5", "def h(x) = { 0 if x < b; 1 if x >= b }")
-    fn = env.function("h")
-    assert fn.branches[0].breakpoint == from_int(5)
+    fn = env.lookup("h")
+    assert fn.branches[0].breakpoint == Literal(from_int(5))
     # rebinding b afterwards must not move the breakpoint
     env = env.bind("b", from_int(100))
     assert run("h(7)", env) == ONE
 
 
 def test_piecewise_branch_selection_is_total(example_env):
-    f = example_env.function("f")
+    f = example_env.lookup("f")
     for point in (G1, -G1, monomial(1, -9), ZERO, from_int(3)):
-        apply_piecewise(f, point, example_env)  # must never raise
+        apply_function(f, point, example_env)  # must never raise
 
 
 def test_plain_def_builds_expression_function():
     env = session("def double(x) = 2*x")
-    assert isinstance(env.function("double"), ExprFunction)
+    assert env.lookup("double").branches == (Branch(parse_expression("2*x")),)
     assert run("double(G1)", env) == 2 * G1
 
 
@@ -222,6 +223,90 @@ def test_user_bindings_and_definitions_shadow_predefined_names():
     assert run("N + count(3)", env) == from_int(11)
     with pytest.raises(EvalError, match="N is not a set"):
         run("member(1, N)", session("let N = 5"))
+
+
+@pytest.mark.parametrize(
+    "statements, message",
+    [
+        (["def N(x) = x", "count(N)"], "N is a function, not a value"),
+        (["let count = 5", "count(N)"], "count is a number, not a function"),
+        (["def a(x) = x", "let a = 1", "a(5)"], "a is a number, not a function"),
+        (["let f = 2", "f(3)"], "f is a number, not a function"),
+        (["let f = N", "f(3)"], "f is a set, not a function"),
+        (["def a(x) = x", "a"], "a is a function, not a value"),
+        (["def g(x) = x", "let h = g"], "g is a function, not a value"),
+        (["def g(x) = x", "member(1, g)"], "g is a function, not a value"),
+        (["def g(x) = x", "g + 1"], "g is a function, not a number"),
+    ],
+)
+def test_one_namespace_later_binding_wins(statements, message):
+    env = session(*statements[:-1])
+    with pytest.raises(EvalError, match=f"^{message}$"):
+        exec_statement(parse_statement(statements[-1]), env)
+
+
+_NAMES = ("f", "N", "count")
+_STATEMENTS = (
+    "let {n} = 2",
+    "def {n}(x) = x + 1",
+    "def {n}(x) = {{ 1 if x < 0; x if x >= 0 }}",
+    "{n}",
+    "{n}(2)",
+    "count({n})",
+    "member(1, {n})",
+)
+
+
+def _outcome(statement: str, env: Env):
+    try:
+        return exec_statement(parse_statement(statement), env)
+    except GrossoneError as exc:
+        return env, f"{type(exc).__name__}: {exc}"
+
+
+@given(st.sampled_from(_NAMES), st.lists(st.sampled_from(_STATEMENTS), min_size=1, max_size=8))
+def test_a_name_means_its_last_binding(name, templates):
+    # every statement ends in a value or a GrossoneError, and what the name
+    # and a call of it give depends only on its last binding
+    statements = [template.format(n=name) for template in templates]
+    env = Env()
+    for statement in statements:
+        env, _ = _outcome(statement, env)
+    last_only = Env()
+    for statement in [s for s in statements if s.startswith(("let ", "def "))][-1:]:
+        last_only, _ = _outcome(statement, last_only)
+    for probe in (name, f"{name}(2)"):
+        assert _outcome(probe, env)[1] == _outcome(probe, last_only)[1]
+
+
+# --------------------------------------------------------- call-nesting limit
+
+FACT = "def fact(x) = { 1 if x <= 0; x*fact(x-1) if x > 0 }"
+
+
+@pytest.mark.parametrize(
+    "definition, call",
+    [
+        ("def f(x) = f(x)", "f(1)"),
+        (FACT, "fact(200)"),
+        (FACT, "fact(G1)"),
+        # a deep call site: each call nests 45 levels before it recurses
+        ("def g(x) = " + "-(" * 45 + "g(x)" + ")" * 45, "g(1)"),
+    ],
+)
+def test_deep_recursion_stops_at_the_call_limit(definition, call):
+    name = call.split("(")[0]
+    with pytest.raises(LimitExceeded, match=f"calls of {name} nest deeper than {MAX_CALL_LEVELS} levels"):
+        run(call, session(definition))
+
+
+def test_recursion_within_the_call_limit():
+    env = session(FACT)
+    assert run("fact(60)", env) == from_int(factorial(60))
+    with pytest.raises(LimitExceeded):
+        run("fact(200)", env)
+    # the refused call released the levels it had taken
+    assert run("fact(60)", env) == from_int(factorial(60))
 
 
 @pytest.mark.parametrize("text", ["N + 1", "member(1, N) * 2", "image(N, 2, 0)", "count(5)"])

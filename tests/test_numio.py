@@ -21,10 +21,11 @@ from grossone.errors import DepthLimitExceeded, ParseError, UnknownCharacter
 from grossone.numio import (
     MAX_NESTING,
     Binary,
+    Branch,
     Call,
     Compare,
-    GrossoneSymbol,
     LetBinding,
+    Literal,
     PiecewiseDef,
     TokenKind,
     Unary,
@@ -181,7 +182,7 @@ def test_parse_expression_call_tree():
     ast = parse_expression("f(-2*G1^{-1}) * g(G1)")
     assert isinstance(ast, Binary) and ast.op == "*"
     assert isinstance(ast.left, Call) and ast.left.name == "f"
-    assert isinstance(ast.right, Call) and ast.right.args == (GrossoneSymbol(),)
+    assert isinstance(ast.right, Call) and ast.right.args == (Literal(GROSSONE),)
 
 
 def test_parse_expression_binary():
@@ -230,7 +231,7 @@ def test_parse_let():
 def test_parse_plain_def():
     ast = parse_statement("def g(x) = x")
     assert isinstance(ast, PiecewiseDef)
-    assert ast.branches == () and ast.body == Var("x")
+    assert ast.branches == (Branch(Var("x")),)
 
 
 def test_parse_piecewise_def():
