@@ -138,7 +138,8 @@ def _prompted_lines():
 
 def cmd_repl(args) -> int:
     """Run statements one per line; an error is reported with its
-    position and the session goes on."""
+    position and the session goes on.  The exit code is the worst seen:
+    2 after malformed text, 3 after an evaluation error, else 0."""
     if args.script:
         try:
             with open(args.script, encoding="utf-8") as handle:
@@ -151,6 +152,7 @@ def cmd_repl(args) -> int:
         lines = _prompted_lines() if sys.stdin.isatty() else sys.stdin.read().splitlines()
         source = "<stdin>"
     env = _env(args)
+    status = 0
     for lineno, line in enumerate(lines, 1):
         text = line.strip()
         if text == ":quit":
@@ -162,9 +164,11 @@ def cmd_repl(args) -> int:
             _show(result, args)
         except ParseError as exc:
             print(f"{source}:{lineno}:{exc.column}: {exc.message}", file=sys.stderr)
+            status = max(status, 2)
         except GrossoneError as exc:
             print(f"{source}:{lineno}: {exc}", file=sys.stderr)
-    return 0
+            status = 3
+    return status
 
 
 _COMMANDS = {

@@ -16,7 +16,7 @@ unbound name, so every binding shadows them.
 from __future__ import annotations
 
 from contextvars import ContextVar
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
 from . import core
@@ -259,7 +259,7 @@ def make_function(definition: PiecewiseDef, env: Env) -> PiecewiseDef:
         for b in definition.branches
     )
     levels = 1 + max(_height(b.body) for b in branches)
-    return replace(definition, branches=branches, levels=levels)
+    return definition._replace(branches=branches, levels=levels)
 
 
 StatementResult = Optional[Value]

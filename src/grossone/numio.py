@@ -31,23 +31,26 @@ Statements (one per line in session scripts; '#' starts a comment)::
 The canonical printer emits terms in strictly decreasing grosspower order;
 exact mode prints coefficients as decimals when the denominator allows and
 as fractions otherwise, and its output re-parses to the identical value.
+
+The lexer is one compiled regular expression.  A token carries its offset
+in the text; the 1-based line and column of an error are computed from
+that offset only when the error is raised.  The parser walks the token
+list by index, one method per precedence level.
 """
 
 from __future__ import annotations
 
+import re
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Callable, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple, Union
 
 from . import core
-from .core import GrossNumber, ONE, ZERO, from_rational, normalize
+from .core import GrossNumber, GrossTerm, ONE, ZERO, normalize
 from .errors import DepthLimitExceeded, LimitExceeded, ParseError, UnknownCharacter
 
 MAX_NESTING = 100
-
-_KEYWORDS = frozenset({"let", "def", "if"})
 
 
 class TokenKind(Enum):
@@ -74,15 +77,42 @@ class TokenKind(Enum):
     EOF = "end of input"
 
 
-@dataclass(frozen=True)
-class Token:
+# The kinds the lexer and parser test, as module globals: reading a member
+# from an Enum class costs about ten times as much as reading a global.
+_DECIMAL_LIT, _GROSSONE, _IDENT, _KEYWORD, _EOF = (
+    TokenKind.DECIMAL_LIT, TokenKind.GROSSONE, TokenKind.IDENT, TokenKind.KEYWORD, TokenKind.EOF
+)
+_PLUS, _MINUS, _STAR, _SLASH, _CARET = (
+    TokenKind.PLUS, TokenKind.MINUS, TokenKind.STAR, TokenKind.SLASH, TokenKind.CARET
+)
+_LPAREN, _RPAREN, _LBRACE, _RBRACE = TokenKind.LPAREN, TokenKind.RPAREN, TokenKind.LBRACE, TokenKind.RBRACE
+_COMMA, _ASSIGN, _SEMICOLON = TokenKind.COMMA, TokenKind.ASSIGN, TokenKind.SEMICOLON
+
+
+class Token(NamedTuple):
     kind: TokenKind
     lexeme: str
-    line: int
-    column: int
+    offset: int  # in code points from the start of the text
 
 
-_SINGLE_CHAR = {
+# Whitespace, then one token: an operator, a decimal (ASCII digits only), a
+# word (characters that str.isalnum() accepts and '_', but not the glyph ①;
+# lex refuses one that does not start with a letter or '_'), or any other
+# character, which is an error.  At the end of the text the last group
+# matches nothing, which is end of input.
+_TOKEN = re.compile(
+    r"[ \t\r\n]*(?:([-+*/^(){},=;≤≥①]|[<>]=?)|([0-9]+(?:\.[0-9]+)?)|([^\W①]+)|(.|\Z))", re.S
+)
+_OPERATOR, _DECIMAL, _WORD = 1, 2, 3
+
+_WORDS = {
+    "G1": TokenKind.GROSSONE,
+    "let": TokenKind.KEYWORD,
+    "def": TokenKind.KEYWORD,
+    "if": TokenKind.KEYWORD,
+}
+
+_OPERATORS = {
     "+": TokenKind.PLUS,
     "-": TokenKind.MINUS,
     "*": TokenKind.STAR,
@@ -95,130 +125,82 @@ _SINGLE_CHAR = {
     ",": TokenKind.COMMA,
     "=": TokenKind.ASSIGN,
     ";": TokenKind.SEMICOLON,
+    "<": TokenKind.LT,
+    "<=": TokenKind.LE,
     "≤": TokenKind.LE,
+    ">": TokenKind.GT,
+    ">=": TokenKind.GE,
     "≥": TokenKind.GE,
+    "①": TokenKind.GROSSONE,
 }
 
 
 def lex(text: str) -> list[Token]:
-    """Tokenize UTF-8 text; error positions are 1-based line/column."""
+    """Tokenize text; the last token is EOF, at the offset ``len(text)``.
+
+    >>> [(t.kind.name, t.lexeme, t.offset) for t in lex("x①")]
+    [('IDENT', 'x', 0), ('GROSSONE', '①', 1), ('EOF', '', 2)]
+    """
     tokens: list[Token] = []
-    line, column = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            column = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            column += 1
-            i += 1
-            continue
-        start_line, start_column = line, column
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and "0" <= text[j + 1] <= "9":
-                j += 1
-                while j < n and "0" <= text[j] <= "9":
-                    j += 1
-            tokens.append(Token(TokenKind.DECIMAL_LIT, text[i:j], start_line, start_column))
-            column += j - i
-            i = j
-            continue
-        if (ch.isalpha() and ch != "①") or ch == "_":
-            j = i
-            while j < n and ((text[j].isalnum() and text[j] != "①") or text[j] == "_"):
-                j += 1
-            lexeme = text[i:j]
-            if lexeme == "G1":
-                kind = TokenKind.GROSSONE
-            elif lexeme in _KEYWORDS:
-                kind = TokenKind.KEYWORD
-            else:
-                kind = TokenKind.IDENT
-            tokens.append(Token(kind, lexeme, start_line, start_column))
-            column += j - i
-            i = j
-            continue
-        if ch == "①":
-            tokens.append(Token(TokenKind.GROSSONE, ch, start_line, start_column))
-            column += 1
-            i += 1
-            continue
-        if ch == "<" or ch == ">":
-            if i + 1 < n and text[i + 1] == "=":
-                kind = TokenKind.LE if ch == "<" else TokenKind.GE
-                tokens.append(Token(kind, ch + "=", start_line, start_column))
-                column += 2
-                i += 2
-            else:
-                kind = TokenKind.LT if ch == "<" else TokenKind.GT
-                tokens.append(Token(kind, ch, start_line, start_column))
-                column += 1
-                i += 1
-            continue
-        if ch in _SINGLE_CHAR:
-            tokens.append(Token(_SINGLE_CHAR[ch], ch, start_line, start_column))
-            column += 1
-            i += 1
-            continue
-        raise UnknownCharacter(f"unexpected character {ch!r}", start_line, start_column)
-    tokens.append(Token(TokenKind.EOF, "", line, column))
+    append = tokens.append
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        lexeme = m[group]
+        offset = m.start(group)
+        if group == _OPERATOR:
+            append(Token(_OPERATORS[lexeme], lexeme, offset))
+        elif group == _DECIMAL:
+            append(Token(_DECIMAL_LIT, lexeme, offset))
+        elif group == _WORD and (lexeme[0].isalpha() or lexeme[0] == "_"):
+            append(Token(_WORDS.get(lexeme, _IDENT), lexeme, offset))
+        elif lexeme:
+            raise _error(UnknownCharacter, f"unexpected character {lexeme[0]!r}", text, offset)
+        else:  # the end, maybe after whitespace: stop before a second match there
+            append(Token(_EOF, "", offset))
+            break
     return tokens
+
+
+def _error(cls: type[ParseError], message: str, text: str, offset: int) -> ParseError:
+    """The error at ``offset`` in ``text``, with its 1-based line and column."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return cls(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
 # ------------------------------------------------------------------ AST
 
 
-class Ast:
-    """Base class for parsed expression nodes."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Literal(Ast):
+class Literal(NamedTuple):
     value: GrossNumber
 
 
-@dataclass(frozen=True)
-class Var(Ast):
+class Var(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Unary(Ast):
+class Unary(NamedTuple):
     op: str
     operand: Ast
 
 
-@dataclass(frozen=True)
-class Binary(Ast):
+class Binary(NamedTuple):
     op: str
     left: Ast
     right: Ast
 
 
-@dataclass(frozen=True)
-class Call(Ast):
+class Call(NamedTuple):
     name: str
     args: Tuple[Ast, ...]
 
 
-@dataclass(frozen=True)
-class Compare(Ast):
+class Compare(NamedTuple):
     op: str
     left: Ast
     right: Ast
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     """One piecewise branch: ``body`` applies when param <relation>
     breakpoint, and always when ``relation`` is None."""
 
@@ -227,8 +209,7 @@ class Branch:
     breakpoint: Optional[Ast] = None
 
 
-@dataclass(frozen=True)
-class PiecewiseDef(Ast):
+class PiecewiseDef(NamedTuple):
     """A one-parameter function; its branches are tested in order.  A plain
     ``def g(x) = body`` has the one branch ``Branch(body)``."""
 
@@ -238,10 +219,13 @@ class PiecewiseDef(Ast):
     levels: int = 0  # set by evaluator.make_function: what one call holds
 
 
-@dataclass(frozen=True)
-class LetBinding(Ast):
+class LetBinding(NamedTuple):
     name: str
     expr: Ast
+
+
+#: A parsed expression or statement.
+Ast = Union[Literal, Var, Unary, Binary, Call, Compare, PiecewiseDef, LetBinding]
 
 
 def operator_chain(ast: Ast) -> tuple[Ast, list[tuple[str, Ast]]]:
@@ -255,48 +239,48 @@ def operator_chain(ast: Ast) -> tuple[Ast, list[tuple[str, Ast]]]:
     return ast, rest
 
 
-_RELOP_TOKENS = {
-    TokenKind.LT: "<",
-    TokenKind.LE: "<=",
-    TokenKind.ASSIGN: "=",
-    TokenKind.GE: ">=",
-    TokenKind.GT: ">",
-}
+# ------------------------------------------------------------------ parser
+
+# Operator tables are keyed by lexeme: an operator's lexeme names its kind,
+# and a str hashes faster than an Enum member.
+_ADDITIVE = frozenset({"+", "-"})
+_MULTIPLICATIVE = frozenset({"*", "/"})
+_RELATIONS = {"<": "<", "<=": "<=", "≤": "<=", "=": "=", ">=": ">=", "≥": ">=", ">": ">"}
+
+_G1_LITERAL = Literal(core.GROSSONE)
+_FRACTION_ONE = Fraction(1)
 
 
-class _TokenStream:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+class _Parser:
+    """One parse of one text: the token list, the index of the next token,
+    and the one nesting counter."""
+
+    __slots__ = ("text", "tokens", "index", "depth")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = lex(text)
         self.index = 0
         self.depth = -1  # the outermost operand is level 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.index]
-
-    def advance(self) -> Token:
-        token = self.tokens[self.index]
-        if token.kind is not TokenKind.EOF:
-            self.index += 1
-        return token
-
-    def match(self, *kinds: TokenKind) -> Optional[Token]:
-        if self.peek().kind in kinds:
-            return self.advance()
-        return None
+    def fail(self, message: str, offset: Optional[int] = None) -> ParseError:
+        """A ParseError at ``offset``, by default the next token's."""
+        if offset is None:
+            offset = self.tokens[self.index].offset
+        return _error(ParseError, message, self.text, offset)
 
     def expect(self, kind: TokenKind, what: str) -> Token:
-        token = self.peek()
+        token = self.tokens[self.index]
         if token.kind is not kind:
-            raise ParseError(
-                f"expected {what}, found {token.lexeme!r}" if token.lexeme else f"expected {what}",
-                token.line,
-                token.column,
-            )
-        return self.advance()
+            raise self.fail(f"expected {what}, found {token.lexeme!r}" if token.lexeme else f"expected {what}")
+        self.index += 1
+        return token
 
-    def fail(self, message: str) -> ParseError:
-        token = self.peek()
-        return ParseError(message, token.line, token.column)
+    def accept(self, kind: TokenKind) -> bool:
+        if self.tokens[self.index].kind is kind:
+            self.index += 1
+            return True
+        return False
 
     def nest(self) -> None:
         """Open a level (the caller closes it with ``depth -= 1``); every
@@ -304,10 +288,192 @@ class _TokenStream:
         self.depth += 1
         if self.depth > MAX_NESTING:
             opener = self.tokens[self.index - 1]
-            raise DepthLimitExceeded(f"nested deeper than {MAX_NESTING}", opener.line, opener.column)
+            raise _error(DepthLimitExceeded, f"nested deeper than {MAX_NESTING}", self.text, opener.offset)
 
+    def whole(self, production):
+        result = production(self)
+        self.expect(_EOF, "end of input")
+        return result
 
-# ------------------------------------------------------- number literals
+    def decimal(self, token: Token) -> Fraction:
+        """The value of a DECIMAL_LIT token.  Python converts at most
+        ``sys.get_int_max_str_digits()`` digits to an int, so a longer
+        run of digits is malformed input, reported at its position."""
+        whole, _, fraction = token.lexeme.partition(".")
+        try:
+            if not fraction:
+                return Fraction(int(whole))
+            scale = 10 ** len(fraction)
+            return Fraction(int(whole) * scale + int(fraction), scale)
+        except ValueError:
+            raise self.fail(
+                f"number literal too long: more than {sys.get_int_max_str_digits()} digits", token.offset
+            ) from None
+
+    # -- number literals
+
+    def literal(self) -> GrossNumber:
+        self.nest()
+        tokens = self.tokens
+        pairs: list[tuple[Fraction, GrossNumber]] = []
+        sign = tokens[self.index].kind
+        if sign is _PLUS or sign is _MINUS:
+            self.index += 1
+        while True:
+            coefficient, exponent = self.literal_term()
+            pairs.append((-coefficient if sign is _MINUS else coefficient, exponent))
+            sign = tokens[self.index].kind
+            if sign is not _PLUS and sign is not _MINUS:
+                break
+            self.index += 1
+        self.depth -= 1
+        return normalize(pairs)
+
+    def literal_term(self) -> tuple[Fraction, GrossNumber]:
+        token = self.tokens[self.index]
+        if token.kind is _GROSSONE:
+            return _FRACTION_ONE, self.literal_exponent()
+        if token.kind is not _DECIMAL_LIT:
+            raise self.fail("expected a coefficient or G1")
+        self.index += 1
+        coefficient = self.decimal(token)
+        if self.accept(_SLASH):
+            denominator = self.expect(_DECIMAL_LIT, "a denominator")
+            value = self.decimal(denominator)
+            if "." in token.lexeme + denominator.lexeme or not value:
+                raise self.fail("a fraction is integer / nonzero integer", token.offset)
+            coefficient /= value
+        if self.accept(_STAR):
+            return coefficient, self.literal_exponent()
+        return coefficient, ZERO
+
+    def literal_exponent(self) -> GrossNumber:
+        self.expect(_GROSSONE, "G1")
+        if not self.accept(_CARET):
+            return ONE
+        self.expect(_LBRACE, "'{'")
+        inner = self.literal()
+        self.expect(_RBRACE, "'}'")
+        return inner
+
+    # -- statements
+
+    def statement(self) -> Ast:
+        token = self.tokens[self.index]
+        if token.kind is _KEYWORD and token.lexeme == "let":
+            self.index += 1
+            name = self.expect(_IDENT, "a name").lexeme
+            self.expect(_ASSIGN, "'='")
+            return LetBinding(name, self.compare())
+        if token.kind is _KEYWORD and token.lexeme == "def":
+            self.index += 1
+            return self.definition()
+        return self.compare()
+
+    def definition(self) -> PiecewiseDef:
+        name = self.expect(_IDENT, "a function name").lexeme
+        self.expect(_LPAREN, "'('")
+        param = self.expect(_IDENT, "a parameter name").lexeme
+        self.expect(_RPAREN, "')'")
+        self.expect(_ASSIGN, "'='")
+        if not self.accept(_LBRACE):
+            return PiecewiseDef(name, param, (Branch(self.additive()),))
+        tokens = self.tokens
+        branches: list[Branch] = []
+        while True:
+            body = self.additive()
+            if_token = tokens[self.index]
+            if not (if_token.kind is _KEYWORD and if_token.lexeme == "if"):
+                raise self.fail("expected 'if' after the branch expression")
+            self.index += 1
+            cond_var = self.expect(_IDENT, "the parameter name")
+            if cond_var.lexeme != param:
+                raise self.fail(f"branch condition must test the parameter {param!r}", cond_var.offset)
+            relation = _RELATIONS.get(tokens[self.index].lexeme)
+            if relation is None:
+                raise self.fail("expected a comparison operator")
+            self.index += 1
+            branches.append(Branch(body, relation, self.additive()))
+            if not self.accept(_SEMICOLON):
+                break
+        self.expect(_RBRACE, "';' or '}'")
+        return PiecewiseDef(name, param, tuple(branches))
+
+    # -- expressions, loosest binding first
+
+    def compare(self) -> Ast:
+        left = self.additive()
+        relation = _RELATIONS.get(self.tokens[self.index].lexeme)
+        if relation is None:
+            return left
+        self.index += 1
+        return Compare(relation, left, self.additive())
+
+    def additive(self) -> Ast:
+        left = self.multiplicative()
+        tokens = self.tokens
+        while (op := tokens[self.index].lexeme) in _ADDITIVE:
+            self.index += 1
+            left = Binary(op, left, self.multiplicative())
+        return left
+
+    def multiplicative(self) -> Ast:
+        left = self.unary()
+        tokens = self.tokens
+        while (op := tokens[self.index].lexeme) in _MULTIPLICATIVE:
+            self.index += 1
+            left = Binary(op, left, self.unary())
+        return left
+
+    def unary(self) -> Ast:
+        """Unary minus, or an atom with an optional ``^`` exponent, which is
+        a braced expression or, right-associatively, another unary."""
+        self.nest()
+        tokens = self.tokens
+        if tokens[self.index].kind is _MINUS:
+            self.index += 1
+            ast: Ast = Unary("-", self.unary())
+        else:
+            ast = self.atom()
+            if tokens[self.index].kind is _CARET:
+                self.index += 1
+                if tokens[self.index].kind is _LBRACE:
+                    self.index += 1
+                    exponent = self.additive()
+                    self.expect(_RBRACE, "'}'")
+                else:
+                    exponent = self.unary()
+                ast = Binary("^", ast, exponent)
+        self.depth -= 1
+        return ast
+
+    def atom(self) -> Ast:
+        token = self.tokens[self.index]
+        kind = token.kind
+        if kind is _DECIMAL_LIT:
+            self.index += 1
+            q = self.decimal(token)
+            return Literal(GrossNumber((GrossTerm(q, ZERO),)) if q else ZERO)
+        if kind is _GROSSONE:
+            self.index += 1
+            return _G1_LITERAL
+        if kind is _IDENT:
+            self.index += 1
+            if not self.accept(_LPAREN):
+                return Var(token.lexeme)
+            args: list[Ast] = []
+            if self.tokens[self.index].kind is not _RPAREN:
+                args.append(self.compare())
+                while self.accept(_COMMA):
+                    args.append(self.compare())
+            self.expect(_RPAREN, "')'")
+            return Call(token.lexeme, tuple(args))
+        if kind is _LPAREN:
+            self.index += 1
+            inner = self.compare()
+            self.expect(_RPAREN, "')'")
+            return inner
+        raise self.fail("expected an expression")
 
 
 def parse_number(text: str) -> GrossNumber:
@@ -317,213 +483,16 @@ def parse_number(text: str) -> GrossNumber:
     ...     core.GROSSONE ** 2 - 2 * core.GROSSONE + Fraction(1, 2))
     True
     """
-    return _parse_whole(text, _parse_literal)
-
-
-def _parse_whole(text: str, production: Callable[[_TokenStream], Any]) -> Any:
-    stream = _TokenStream(lex(text))
-    result = production(stream)
-    stream.expect(TokenKind.EOF, "end of input")
-    return result
-
-
-def _parse_literal(stream: _TokenStream) -> GrossNumber:
-    stream.nest()
-    pairs: list[tuple[Fraction, GrossNumber]] = []
-    sign = stream.match(TokenKind.PLUS, TokenKind.MINUS)
-    while True:
-        coefficient, exponent = _parse_literal_term(stream)
-        if sign is not None and sign.kind is TokenKind.MINUS:
-            coefficient = -coefficient
-        pairs.append((coefficient, exponent))
-        sign = stream.match(TokenKind.PLUS, TokenKind.MINUS)
-        if sign is None:
-            break
-    stream.depth -= 1
-    return normalize(pairs)
-
-
-def _parse_literal_term(stream: _TokenStream) -> tuple[Fraction, GrossNumber]:
-    token = stream.peek()
-    if token.kind is TokenKind.GROSSONE:
-        return Fraction(1), _parse_literal_exponent(stream)
-    if token.kind is not TokenKind.DECIMAL_LIT:
-        raise stream.fail("expected a coefficient or G1")
-    stream.advance()
-    coefficient = _decimal(token)
-    if stream.match(TokenKind.SLASH):
-        denominator = stream.expect(TokenKind.DECIMAL_LIT, "a denominator")
-        value = _decimal(denominator)
-        if "." in token.lexeme + denominator.lexeme or not value:
-            raise ParseError("a fraction is integer / nonzero integer", token.line, token.column)
-        coefficient /= value
-    if stream.match(TokenKind.STAR):
-        return coefficient, _parse_literal_exponent(stream)
-    return coefficient, ZERO
-
-
-def _decimal(token: Token) -> Fraction:
-    """The value of a DECIMAL_LIT token.  Python converts at most
-    ``sys.get_int_max_str_digits()`` digits, so a longer literal is
-    malformed input, reported at its position."""
-    try:
-        return Fraction(token.lexeme)
-    except ValueError:
-        raise ParseError(
-            f"number literal too long: more than {sys.get_int_max_str_digits()} digits",
-            token.line,
-            token.column,
-        ) from None
-
-
-def _parse_literal_exponent(stream: _TokenStream) -> GrossNumber:
-    stream.expect(TokenKind.GROSSONE, "G1")
-    if stream.match(TokenKind.CARET):
-        stream.expect(TokenKind.LBRACE, "'{'")
-        inner = _parse_literal(stream)
-        stream.expect(TokenKind.RBRACE, "'}'")
-        return inner
-    return ONE
-
-
-# ----------------------------------------------------------- expressions
+    return _Parser(text).whole(_Parser.literal)
 
 
 def parse_expression(text: str) -> Ast:
-    return _parse_whole(text, _parse_compare)
+    return _Parser(text).whole(_Parser.compare)
 
 
 def parse_statement(text: str) -> Ast:
     """Parse one session statement: let, def, or a bare expression."""
-    return _parse_whole(text, _parse_statement)
-
-
-def _parse_statement(stream: _TokenStream) -> Ast:
-    token = stream.peek()
-    if token.kind is TokenKind.KEYWORD and token.lexeme == "let":
-        stream.advance()
-        name = stream.expect(TokenKind.IDENT, "a name").lexeme
-        stream.expect(TokenKind.ASSIGN, "'='")
-        return LetBinding(name, _parse_compare(stream))
-    if token.kind is TokenKind.KEYWORD and token.lexeme == "def":
-        return _parse_def(stream)
-    return _parse_compare(stream)
-
-
-def _parse_def(stream: _TokenStream) -> PiecewiseDef:
-    stream.advance()  # def
-    name = stream.expect(TokenKind.IDENT, "a function name").lexeme
-    stream.expect(TokenKind.LPAREN, "'('")
-    param = stream.expect(TokenKind.IDENT, "a parameter name").lexeme
-    stream.expect(TokenKind.RPAREN, "')'")
-    stream.expect(TokenKind.ASSIGN, "'='")
-    if not stream.match(TokenKind.LBRACE):
-        return PiecewiseDef(name, param, (Branch(_parse_additive(stream)),))
-    branches: list[Branch] = []
-    while True:
-        body = _parse_additive(stream)
-        if_token = stream.peek()
-        if not (if_token.kind is TokenKind.KEYWORD and if_token.lexeme == "if"):
-            raise stream.fail("expected 'if' after the branch expression")
-        stream.advance()
-        cond_var = stream.expect(TokenKind.IDENT, "the parameter name")
-        if cond_var.lexeme != param:
-            raise ParseError(
-                f"branch condition must test the parameter {param!r}",
-                cond_var.line,
-                cond_var.column,
-            )
-        rel_token = stream.peek()
-        relation = _RELOP_TOKENS.get(rel_token.kind)
-        if relation is None:
-            raise stream.fail("expected a comparison operator")
-        stream.advance()
-        breakpoint_expr = _parse_additive(stream)
-        branches.append(Branch(body, relation, breakpoint_expr))
-        if stream.match(TokenKind.SEMICOLON):
-            continue
-        stream.expect(TokenKind.RBRACE, "';' or '}'")
-        break
-    return PiecewiseDef(name, param, tuple(branches))
-
-
-def _parse_compare(stream: _TokenStream) -> Ast:
-    left = _parse_additive(stream)
-    relation = _RELOP_TOKENS.get(stream.peek().kind)
-    if relation is not None:
-        stream.advance()
-        right = _parse_additive(stream)
-        return Compare(relation, left, right)
-    return left
-
-
-def _parse_additive(stream: _TokenStream) -> Ast:
-    left = _parse_multiplicative(stream)
-    while True:
-        token = stream.match(TokenKind.PLUS, TokenKind.MINUS)
-        if token is None:
-            return left
-        right = _parse_multiplicative(stream)
-        left = Binary(token.lexeme, left, right)
-
-
-def _parse_multiplicative(stream: _TokenStream) -> Ast:
-    left = _parse_unary(stream)
-    while True:
-        token = stream.match(TokenKind.STAR, TokenKind.SLASH)
-        if token is None:
-            return left
-        right = _parse_unary(stream)
-        left = Binary(token.lexeme, left, right)
-
-
-def _parse_unary(stream: _TokenStream) -> Ast:
-    stream.nest()
-    if stream.match(TokenKind.MINUS):
-        ast: Ast = Unary("-", _parse_unary(stream))
-    else:
-        ast = _parse_power(stream)
-    stream.depth -= 1
-    return ast
-
-
-def _parse_power(stream: _TokenStream) -> Ast:
-    base = _parse_atom(stream)
-    if not stream.match(TokenKind.CARET):
-        return base
-    if stream.match(TokenKind.LBRACE):
-        exponent = _parse_additive(stream)
-        stream.expect(TokenKind.RBRACE, "'}'")
-    else:
-        exponent = _parse_unary(stream)
-    return Binary("^", base, exponent)
-
-
-def _parse_atom(stream: _TokenStream) -> Ast:
-    token = stream.peek()
-    if token.kind is TokenKind.DECIMAL_LIT:
-        stream.advance()
-        return Literal(from_rational(_decimal(token)))
-    if token.kind is TokenKind.GROSSONE:
-        stream.advance()
-        return Literal(core.GROSSONE)
-    if token.kind is TokenKind.IDENT:
-        stream.advance()
-        if stream.match(TokenKind.LPAREN):
-            args: list[Ast] = []
-            if stream.peek().kind is not TokenKind.RPAREN:
-                args.append(_parse_compare(stream))
-                while stream.match(TokenKind.COMMA):
-                    args.append(_parse_compare(stream))
-            stream.expect(TokenKind.RPAREN, "')'")
-            return Call(token.lexeme, tuple(args))
-        return Var(token.lexeme)
-    if token.kind is TokenKind.LPAREN:
-        stream.advance()
-        inner = _parse_compare(stream)
-        stream.expect(TokenKind.RPAREN, "')'")
-        return inner
-    raise stream.fail("expected an expression")
+    return _Parser(text).whole(_Parser.statement)
 
 
 # -------------------------------------------------------------- printing
@@ -559,10 +528,12 @@ def brace_depth(x: GrossNumber) -> int:
     >>> brace_depth(core.GROSSONE ** core.GROSSONE + core.GROSSONE)
     1
     """
-    return max(
-        (1 + brace_depth(t.exponent) for t in x.terms if t.exponent.terms and t.exponent != ONE),
-        default=0,
-    )
+    depth, level = 0, [x]
+    while True:
+        level = [t.exponent for y in level for t in y.terms if t.exponent.terms and t.exponent != ONE]
+        if not level:
+            return depth
+        depth += 1
 
 
 def _term_text(coefficient: Fraction, exponent: GrossNumber, digits: Optional[int]) -> str:

@@ -296,7 +296,7 @@ def test_repl_errors_do_not_kill_the_session(tmp_path, capsys):
     script = tmp_path / "session.txt"
     script.write_text("q + 1\nlet a = 2\na * 3\n", encoding="utf-8")
     code, out, err = run(capsys, "repl", "--script", str(script))
-    assert code == 0
+    assert code == 3
     assert "unbound name q" in err
     assert out == "6\n"
 
@@ -305,7 +305,7 @@ def test_repl_script_errors_name_file_and_line(tmp_path, capsys):
     script = tmp_path / "session.txt"
     script.write_text("let a = 1\n1 +\nq\n", encoding="utf-8")
     code, out, err = run(capsys, "repl", "--script", str(script))
-    assert (code, out) == (0, "")
+    assert (code, out) == (3, "")
     assert err.splitlines() == [
         f"{script}:2:4: expected an expression",
         f"{script}:3: unbound name q",
@@ -319,7 +319,7 @@ def test_repl_sets_share_the_namespace(tmp_path, capsys):
         encoding="utf-8",
     )
     code, out, err = run(capsys, "repl", "--script", str(script))
-    assert code == 0
+    assert code == 3
     assert out == "0.5*G1\nprogression(start=2, step=2, count=G1)\n"
     assert err == f"{script}:6: N is not a set\n"
 
@@ -341,7 +341,7 @@ def test_repl_names_what_a_binding_holds(monkeypatch, capsys, session, message):
     monkeypatch.setattr(sys, "stdin", io.StringIO(session + "1 + 1\n"))
     code = main(["repl"])
     captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == (0, "2\n", message + "\n")
+    assert (code, captured.out, captured.err) == (3, "2\n", message + "\n")
 
 
 def test_eval_calling_a_set_is_an_evaluation_error(capsys):
@@ -381,7 +381,7 @@ def test_repl_stdin_errors_are_named_stdin(monkeypatch, capsys):
     monkeypatch.setattr(_sys, "stdin", io.StringIO("1\n2 *\n"))
     code = main(["repl"])
     captured = capsys.readouterr()
-    assert (code, captured.out) == (0, "1\n")
+    assert (code, captured.out) == (2, "1\n")
     assert captured.err == "<stdin>:2:4: expected an expression\n"
 
 
@@ -404,7 +404,7 @@ def _tower_script(tmp_path, lets):
 def test_repl_values_stay_reparseable(tmp_path, capsys):
     script = _tower_script(tmp_path, 101)
     code, out, err = run(capsys, "repl", "--script", str(script))
-    assert code == 0
+    assert code == 3
     assert err == f"{script}:102: the result would print nested deeper than 100 braces\n"
     assert out.count("{") == 100
     assert run(capsys, "eval", out.strip()) == (0, out, "")
@@ -412,10 +412,47 @@ def test_repl_values_stay_reparseable(tmp_path, capsys):
 
 def test_repl_long_tower_of_lets_is_not_a_traceback(tmp_path, capsys):
     code, out, err = run(capsys, "repl", "--script", str(_tower_script(tmp_path, 500)))
-    assert code == 0
+    assert code == 3
     assert out.count("{") == 100
     assert err.count("nested deeper than 100 braces") == 400
     assert "Traceback" not in err
+
+
+def test_repl_tower_built_by_calls_is_an_evaluation_error(monkeypatch, capsys):
+    # one statement builds a tower 1200 grosspowers deep; measuring its
+    # printed depth must refuse it, not recurse once per level
+    import io
+
+    session = "".join(
+        [
+            "def t(x) = G1^x\n",
+            "def u(x) = " + "t(" * 30 + "x" + ")" * 30 + "\n",
+            "u(" * 40 + "1" + ")" * 40 + "\n",
+            "1 + 1\n",
+        ]
+    )
+    monkeypatch.setattr(sys, "stdin", io.StringIO(session))
+    code = main(["repl"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "2\n")
+    assert captured.err == "<stdin>:3: the result would print nested deeper than 100 braces\n"
+
+
+@pytest.mark.parametrize(
+    "session, code",
+    [
+        ("1+\n2\n", 2),
+        ("1+\nq\n2 *\n", 3),
+        ("q\n1+\n", 3),
+        ("1\n# only a comment\n\n", 0),
+    ],
+)
+def test_repl_exits_with_the_worst_code_it_saw(monkeypatch, capsys, session, code):
+    import io
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO(session))
+    assert main(["repl"]) == code
+    capsys.readouterr()
 
 
 def test_repl_image_binding_prints_nothing_until_queried(tmp_path, capsys):
@@ -495,7 +532,7 @@ def test_repl_reports_a_huge_value_and_goes_on(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO("let a = 2^20000\na\na - a + 1\n"))
     code = main(["repl"])
     captured = capsys.readouterr()
-    assert (code, captured.out) == (0, "1\n")
+    assert (code, captured.out) == (3, "1\n")
     assert captured.err == f"<stdin>:2: a coefficient is too long to print: more than {DIGIT_LIMIT} digits\n"
 
 

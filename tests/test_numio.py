@@ -3,6 +3,7 @@
 import doctest
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -96,6 +97,89 @@ def test_lex_keywords_and_idents():
     assert kinds["if"] is TokenKind.KEYWORD
     assert kinds["x"] is TokenKind.IDENT
     assert kinds["G1x"] is TokenKind.IDENT
+
+
+# The lexer's character classes: a decimal is ASCII digits only, a word
+# starts with a letter or '_' and goes on over what str.isalnum() accepts,
+# but the glyph ① is always a token of its own.
+
+
+@pytest.mark.parametrize("text", ["x①", "G1①"])
+def test_lex_grossone_glyph_ends_a_word(text):
+    tokens = lex(text)
+    assert [t.lexeme for t in tokens] == [text[:-1], "①", ""]
+    assert tokens[1].kind is TokenKind.GROSSONE
+
+
+@pytest.mark.parametrize("text", ["²", "½", "Ⅻ", "٣", "\v", "\u00a0"])
+def test_lex_non_ascii_digits_and_other_spaces_are_unknown(text):
+    with pytest.raises(UnknownCharacter) as err:
+        lex(text)
+    assert (err.value.line, err.value.column) == (1, 1)
+    assert err.value.message == f"unexpected character {text!r}"
+
+
+@pytest.mark.parametrize("text", ["x²", "x٣", "é1", "_1"])
+def test_lex_word_goes_on_over_any_alphanumeric(text):
+    assert [(t.kind, t.lexeme) for t in lex(text)] == [(TokenKind.IDENT, text), (TokenKind.EOF, "")]
+
+
+@pytest.mark.parametrize("text", ["1.", "1..2"])
+def test_lex_point_needs_digits_after_it(text):
+    with pytest.raises(UnknownCharacter) as err:
+        lex(text)
+    assert (err.value.line, err.value.column) == (1, 2)
+
+
+def test_long_decimal_converts_each_digit_run_on_its_own():
+    # each digit run is within Python's int-from-text limit; the two together are not
+    value = parse_number("1" * 4000 + "." + "1" * 4000)
+    assert value == from_rational(Fraction(int("1" * 4000)) + Fraction(int("1" * 4000), 10**4000))
+
+
+# Positions: an expression's tokens, as text, joined by generated whitespace.
+_LEAF_TOKENS = st.sampled_from(["1", "2.5", "G1", "①", "x", "y_1"]).map(lambda leaf: [leaf])
+
+
+def _compound_tokens(parts):
+    return st.one_of(
+        st.tuples(parts, st.sampled_from(["+", "-", "*", "/", "^"]), parts).map(lambda t: [*t[0], t[1], *t[2]]),
+        parts.map(lambda p: ["(", *p, ")"]),
+        parts.map(lambda p: ["-", *p]),
+        parts.map(lambda p: ["f", "(", *p, ")"]),
+        parts.map(lambda p: ["G1", "^", "{", *p, "}"]),
+    )
+
+
+_EXPRESSION_TOKENS = st.recursive(_LEAF_TOKENS, _compound_tokens, max_leaves=8)
+
+
+def _spaced(data, tokens, before=None):
+    """The tokens with whitespace drawn for each gap, and '@' in front of
+    token ``before`` (len(tokens): at the end)."""
+    gaps = data.draw(st.lists(st.text(" \t\r\n", max_size=3), min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    pieces = [gaps[0]]
+    for index, token in enumerate(tokens):
+        pieces.append(("@" if index == before else "") + token + gaps[index + 1])
+    if before == len(tokens):
+        pieces.append("@")
+    return "".join(pieces)
+
+
+@given(_EXPRESSION_TOKENS, st.data())
+def test_whitespace_between_tokens_leaves_the_ast_unchanged(tokens, data):
+    assert parse_expression(_spaced(data, tokens)) == parse_expression("".join(tokens))
+
+
+@given(_EXPRESSION_TOKENS, st.data())
+def test_unknown_character_is_reported_where_it_stands(tokens, data):
+    text = _spaced(data, tokens, before=data.draw(st.integers(0, len(tokens))))
+    line, column = 1, 1
+    for ch in text[: text.index("@")]:
+        line, column = (line + 1, 1) if ch == "\n" else (line, column + 1)
+    with pytest.raises(UnknownCharacter) as err:
+        parse_expression(text)
+    assert (err.value.line, err.value.column, err.value.message) == (line, column, "unexpected character '@'")
 
 
 # --------------------------------------------------------- number literals
