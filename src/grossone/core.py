@@ -52,6 +52,11 @@ GrossLike = Union["GrossNumber", int, Fraction]
 #: Term budget used by exact_divide / ``/`` when none is given explicitly.
 DEFAULT_DIV_TERMS = 20
 
+#: Deepest brace nesting of a numeral, parsed or made.  Ring operations nest
+#: no deeper than max(operands, 1), as they reuse grosspowers below level 1,
+#: so only ``monomial`` (also for (G1^p)^k) checks it, and values re-parse.
+MAX_NESTING = 100
+
 
 class NumClass(Enum):
     ZERO = "Zero"
@@ -187,11 +192,31 @@ def as_gross(value: GrossLike) -> GrossNumber:
 
 
 def monomial(coefficient: RationalLike, exponent: GrossLike) -> GrossNumber:
-    """Single-term gross-number ``coefficient * G1^exponent``."""
+    """Single-term gross-number ``coefficient * G1^exponent``; LimitExceeded
+    if it would print nested deeper than ``MAX_NESTING`` braces."""
     c = Fraction(coefficient)
     if c == 0:
         return ZERO
-    return GrossNumber((GrossTerm(c, as_gross(exponent)),))
+    exponent = as_gross(exponent)
+    if _brace_depth(exponent) >= MAX_NESTING:
+        raise LimitExceeded(f"the result would print nested deeper than {MAX_NESTING} braces")
+    return GrossNumber((GrossTerm(c, exponent),))
+
+
+def _brace_depth(x: GrossNumber) -> int:
+    """How deeply ``numio.print_canonical`` nests braces for x.  Each level
+    of nonzero grosspowers below x but the last holds one that leads deeper,
+    so is not 0 or 1 and opens a brace; the last opens one unless all are 1.
+
+    >>> _brace_depth(GROSSONE ** GROSSONE + GROSSONE)
+    1
+    """
+    depth, level = 0, [x]
+    while True:
+        deeper = [p for y in level for _, p in y.terms if p.terms]
+        if not deeper:
+            return depth - (depth > 0 and all(p.terms[0].coefficient == 1 for p in level))
+        depth, level = depth + 1, deeper
 
 
 # --------------------------------------------------------------- structure
@@ -545,9 +570,9 @@ def power_gross(x: GrossNumber, k: GrossNumber) -> GrossNumber:
     """Raise x to a gross-number power.
 
     Supported: any x with a finite integer k (delegates to power_int);
-    0^k for k > 0; 1^k; and (G1^p)^k = G1^{p*k} for coefficient-1
-    single-term bases.  Anything else (such as 2^G1) has no representation
-    here and raises UnsupportedExponentiation.
+    0^k for k > 0; and (G1^p)^k = G1^{p*k} for coefficient-1 single-term
+    bases, 1 = G1^0 among them.  Anything else (such as 2^G1) has no
+    representation here and raises UnsupportedExponentiation.
     """
     n = as_int(k)
     if n is not None:
@@ -556,10 +581,8 @@ def power_gross(x: GrossNumber, k: GrossNumber) -> GrossNumber:
         if sign(k) > 0:
             return ZERO
         raise ZeroToNonpositivePower("0 cannot be raised to a non-positive power")
-    if x == ONE:
-        return ONE
     if len(x.terms) == 1 and x.terms[0].coefficient == 1:
-        return GrossNumber((GrossTerm(Fraction(1), multiply(x.terms[0].exponent, k)),))
+        return monomial(1, multiply(x.terms[0].exponent, k))
     raise UnsupportedExponentiation(
         f"cannot represent ({_shown(x)})^({_shown(k)}) as a finite positional numeral"
     )

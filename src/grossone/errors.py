@@ -44,8 +44,9 @@ class ParityUndefined(GrossoneError):
 
 
 class LimitExceeded(GrossoneError):
-    """An explicit limit was reached: a coefficient with more digits than
-    Python converts to text, or function calls nested deeper than
+    """An explicit limit was reached: a value whose numeral would nest
+    deeper than ``core.MAX_NESTING`` braces, a coefficient with more digits
+    than Python converts to text, or function calls nested deeper than
     ``evaluator.MAX_CALL_LEVELS`` levels."""
 
 
@@ -67,7 +68,7 @@ class UnknownCharacter(ParseError):
 
 
 class DepthLimitExceeded(ParseError):
-    """Input nested deeper than ``numio.MAX_NESTING`` levels; the position
+    """Input nested deeper than ``core.MAX_NESTING`` levels; the position
     is that of the token that opens the level one too deep."""
 
 

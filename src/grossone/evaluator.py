@@ -8,9 +8,9 @@ dominance order.  Active calls nest at most ``MAX_CALL_LEVELS`` levels.
 
 ``Env`` holds the division budget and one mapping for every name, whether
 it holds a number, a set, a boolean or a function.  The sets N (the
-naturals, count G1) and E (the even naturals, count G1/2) are predefined
-names; the builtins count, product, member and image run only for an
-unbound name, so every binding shadows them.
+naturals, count G1) and E (the even naturals, count G1/2) and the booleans
+true and false are predefined names; the builtins count, product, member
+and image run only for an unbound name, so every binding shadows them.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from . import core
 from .core import GrossNumber, as_rational, compare
 from .errors import EvalError, LimitExceeded, NoBranchMatched, UnboundName
 from .numio import (
-    MAX_NESTING,
     Ast,
     Binary,
     Branch,
@@ -34,7 +33,6 @@ from .numio import (
     PiecewiseDef,
     Unary,
     Var,
-    brace_depth,
     operator_chain,
     print_canonical,
 )
@@ -56,8 +54,8 @@ MAX_CALL_LEVELS = 400
 _call_levels: ContextVar[int] = ContextVar("_call_levels", default=0)
 
 
-def _predefined_sets() -> dict[str, Value]:
-    return {"N": NATURALS, "E": EVEN_NATURALS}
+def _predefined() -> dict[str, Value]:
+    return {"N": NATURALS, "E": EVEN_NATURALS, "true": True, "false": False}
 
 
 @dataclass(frozen=True)
@@ -68,7 +66,7 @@ class Env:
     truncation to that many quotient terms.
     """
 
-    bindings: Mapping[str, Value] = field(default_factory=_predefined_sets)
+    bindings: Mapping[str, Value] = field(default_factory=_predefined)
     div_max_terms: Optional[int] = None
 
     def lookup(self, name: str) -> Value:
@@ -136,9 +134,7 @@ def evaluate_value(ast: Ast, env: Env) -> Value:
     """Evaluate at statement level, where a comparison or member(...) gives
     a boolean and a set name or image(...) gives a set.
 
-    A function name is not a value and raises EvalError.  So does a number
-    whose numeral would nest deeper than ``MAX_NESTING`` braces, so every
-    value a session holds prints as text that parses again.
+    A function name is not a value and raises EvalError.
     """
     if isinstance(ast, Compare):
         return evaluate_compare(ast, env)
@@ -147,10 +143,7 @@ def evaluate_value(ast: Ast, env: Env) -> Value:
         if isinstance(value, PiecewiseDef):
             raise EvalError(f"{ast.name} is a function, not a value")
         return value
-    value = _call(ast, env) if isinstance(ast, Call) else evaluate(ast, env)
-    if isinstance(value, GrossNumber) and brace_depth(value) > MAX_NESTING:
-        raise EvalError(f"the result would print nested deeper than {MAX_NESTING} braces")
-    return value
+    return _call(ast, env) if isinstance(ast, Call) else evaluate(ast, env)
 
 
 def evaluate_compare(ast: Compare, env: Env) -> bool:

@@ -17,9 +17,9 @@ precedence ``^`` (right-associative) over unary minus over ``* /`` over
 ``+ -`` over comparisons.  After ``^`` a braced group is allowed, so
 ``G1^{-1}`` works the same in literals and expressions.
 
-Input nests at most ``MAX_NESTING`` levels: ``(``, a call's arguments,
-``{``, the operand of unary minus and the right operand of ``^`` each open
-one (``^{`` opens one, not two).  Chains of ``+ - * /`` do not nest.
+Input nests at most ``core.MAX_NESTING`` levels, as values do: ``(``, a
+call's arguments, ``{``, the operand of unary minus and the right operand
+of ``^`` each open one (``^{`` opens one).  ``+ - * /`` chains do not nest.
 
 Statements (one per line in session scripts; '#' starts a comment)::
 
@@ -47,10 +47,8 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple, Union
 
 from . import core
-from .core import GrossNumber, GrossTerm, ONE, ZERO, normalize
+from .core import MAX_NESTING, GrossNumber, GrossTerm, ONE, ZERO, normalize
 from .errors import DepthLimitExceeded, LimitExceeded, ParseError, UnknownCharacter
-
-MAX_NESTING = 100
 
 
 class TokenKind(Enum):
@@ -519,21 +517,6 @@ def print_canonical(x: GrossNumber, digits: Optional[int] = None) -> str:
         else:
             parts.append((" - " if negative else " + ") + body)
     return "".join(parts)
-
-
-def brace_depth(x: GrossNumber) -> int:
-    """How deeply ``print_canonical`` nests braces for x: each grosspower
-    other than 0 and 1 opens one ``{``.
-
-    >>> brace_depth(core.GROSSONE ** core.GROSSONE + core.GROSSONE)
-    1
-    """
-    depth, level = 0, [x]
-    while True:
-        level = [t.exponent for y in level for t in y.terms if t.exponent.terms and t.exponent != ONE]
-        if not level:
-            return depth
-        depth += 1
 
 
 def _term_text(coefficient: Fraction, exponent: GrossNumber, digits: Optional[int]) -> str:

@@ -438,6 +438,45 @@ def test_repl_tower_built_by_calls_is_an_evaluation_error(monkeypatch, capsys):
     assert captured.err == "<stdin>:3: the result would print nested deeper than 100 braces\n"
 
 
+def test_repl_operators_on_towers_built_by_calls_are_evaluation_errors(monkeypatch, capsys):
+    # each operand would be a tower 1350 grosspowers deep; it is refused
+    # where its 101st level is made, so no operator recurses down a tower
+    import io
+
+    operand = "u(" * 45 + "1" + ")" * 45
+    session = "".join(
+        [
+            "def t(x) = G1^x\n",
+            "def u(x) = " + "t(" * 30 + "x" + ")" * 30 + "\n",
+            *(f"{operand} {op} {operand}\n" for op in ("<", "+", "-", "*")),
+            "1 + 1\n",
+        ]
+    )
+    monkeypatch.setattr(sys, "stdin", io.StringIO(session))
+    code = main(["repl"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "2\n")
+    assert captured.err == "".join(
+        f"<stdin>:{line}: the result would print nested deeper than 100 braces\n" for line in range(3, 7)
+    )
+
+
+@pytest.mark.parametrize("text", ["1 < 2", "1 > 2", "member(1, N)", "member(1, E)"])
+def test_printed_booleans_reparse(capsys, text):
+    code, out, err = run(capsys, "eval", text)
+    assert (code, err) == (0, "")
+    assert out in ("true\n", "false\n")
+    assert run(capsys, "eval", out.strip()) == (0, out, "")
+
+
+def test_bindings_shadow_the_boolean_names(monkeypatch, capsys):
+    import io
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO("true\nlet true = 3\ntrue + 1\nfalse\n"))
+    code = main(["repl"])
+    assert (code, capsys.readouterr().out) == (0, "true\n4\nfalse\n")
+
+
 @pytest.mark.parametrize(
     "session, code",
     [

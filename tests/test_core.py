@@ -6,14 +6,16 @@ from functools import reduce
 from math import comb, gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 import hypothesis.strategies as st
 
 from grossone import core
 from grossone.core import (
+    MAX_NESTING,
     DivResult,
     GROSSONE,
     GrossNumber,
+    GrossTerm,
     NumClass,
     ONE,
     Parity,
@@ -47,11 +49,13 @@ from grossone.core import (
 from grossone.errors import (
     DivisionByZero,
     InexactDivision,
+    LimitExceeded,
     NegativePowerOfNonMonomial,
     ParityUndefined,
     UnsupportedExponentiation,
     ZeroToNonpositivePower,
 )
+from grossone.numio import parse_number, print_canonical
 
 from support import gross_numbers, positive_rationals, small_rationals
 
@@ -624,3 +628,75 @@ def test_values_are_immutable():
 def test_as_gross_rejects_foreign_types():
     with pytest.raises(TypeError):
         as_gross("G1")
+
+
+# -------------------------------------------------------------- nesting
+
+
+def printed_depth(x):
+    """The deepest ``{`` nesting in x's canonical text."""
+    depth = deepest = 0
+    for ch in print_canonical(x):
+        if ch == "{":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif ch == "}":
+            depth -= 1
+    return deepest
+
+
+def tower(base, levels):
+    """base as the grosspower of a grosspower ... ``levels`` deep, or as
+    deep as the nesting limit allows; built without ``monomial``'s check."""
+    for _ in range(levels):
+        base = GrossNumber((GrossTerm(Fraction(1), base),))
+    while printed_depth(base) > MAX_NESTING:
+        base = base.terms[0].exponent
+    return base
+
+
+# values from the shared generators, and the same wrapped in grosspowers up
+# to the nesting limit
+deep_numbers = st.one_of(
+    gross_numbers(),
+    st.builds(tower, gross_numbers(max_depth=2, max_terms=3), st.integers(MAX_NESTING - 5, MAX_NESTING)),
+)
+
+
+@given(deep_numbers, deep_numbers, st.integers(1, 4))
+def test_ring_operations_nest_no_deeper_than_their_operands(x, y, n):
+    bound = max(printed_depth(x), printed_depth(y), 1)
+    assert printed_depth(add(x, y)) <= bound
+    assert printed_depth(subtract(x, y)) <= bound
+    assert printed_depth(multiply(x, y)) <= bound
+    if y:
+        result = divide(x, y, 3)
+        assert max(printed_depth(result.quotient), printed_depth(result.remainder)) <= bound
+    if len(x.terms) <= 3:
+        assert printed_depth(power_int(x, n)) <= max(printed_depth(x), 1)
+
+
+@given(deep_numbers, deep_numbers)
+def test_gross_power_is_refused_exactly_when_it_would_nest_too_deep(p, k):
+    assume(printed_depth(p) < MAX_NESTING)
+    # built without the check, to measure what power_gross would return
+    unchecked = GrossNumber((GrossTerm(Fraction(1), multiply(p, k)),))
+    if printed_depth(unchecked) > MAX_NESTING:
+        with pytest.raises(LimitExceeded):
+            power_gross(monomial(1, p), k)
+    else:
+        assert power_gross(monomial(1, p), k) == unchecked
+
+
+def test_monomials_nest_up_to_the_limit_and_reparse():
+    deepest = G1
+    for _ in range(MAX_NESTING):
+        deepest = monomial(1, deepest)
+    text = print_canonical(deepest)
+    assert text.count("{") == printed_depth(deepest) == MAX_NESTING
+    assert parse_number(text) == deepest
+    message = f"the result would print nested deeper than {MAX_NESTING} braces"
+    with pytest.raises(LimitExceeded, match=message):
+        monomial(1, deepest)
+    with pytest.raises(LimitExceeded, match=message):
+        power_gross(G1, deepest)

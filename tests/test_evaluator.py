@@ -300,6 +300,20 @@ def test_deep_recursion_stops_at_the_call_limit(definition, call):
         run(call, session(definition))
 
 
+def test_calls_at_the_limit_over_the_deepest_values_finish():
+    # the most frames one statement can hold: 400 call levels, and below
+    # them a base case that adds and compares two towers of 100 braces that
+    # differ only at the bottom, so comparing them recurses through every level
+    env = session(
+        "let a = G1", *["let a = G1^a"] * 100, "let b = G1^{-1}", *["let b = G1^b"] * 99,
+        "def g(x) = { (a * (b + x)) - (b * (a + x)) if x <= 0; g(x - 1) if x > 0 }",
+    )
+    assert env.lookup("g").levels * 80 == MAX_CALL_LEVELS
+    assert run("g(79)", env) == ZERO
+    with pytest.raises(LimitExceeded, match="calls of g nest"):
+        run("g(80)", env)
+
+
 def test_recursion_within_the_call_limit():
     env = session(FACT)
     assert run("fact(60)", env) == from_int(factorial(60))
