@@ -18,8 +18,10 @@ Inside ``multiply``, ``divide`` and ``power_int`` grosspowers and grossdigits
 run as integers: ``_keyed`` packs each grosspower into one integer key, whose
 sum and order are those of the grosspowers, and ``_scaled`` puts an operand's
 grossdigits over one common denominator.  So their loops do only integer
-arithmetic, and ``_from_keyed`` builds a grosspower and a Fraction once per
-result term.
+arithmetic, and ``_from_keyed`` builds one Fraction per result term.  When
+every grosspower is finite, a result term takes its grosspower from
+``_decoded``, a bounded table shared across calls, so the same few finite
+grosspowers are made once and shared by every value that has them.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 from math import comb, gcd, lcm
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Tuple, Union
@@ -56,6 +58,14 @@ DEFAULT_DIV_TERMS = 20
 #: no deeper than max(operands, 1), as they reuse grosspowers below level 1,
 #: so only ``monomial`` (also for (G1^p)^k) checks it, and values re-parse.
 MAX_NESTING = 100
+
+#: Largest term budget ``divide`` accepts; the 10,000 quotient terms of
+#: ``1/(1+G1^{-1})`` take about 0.3 s on a 2-core host, and a larger budget
+#: is refused before any work.
+MAX_DIV_TERMS = 10_000
+
+#: How many finite grosspowers ``_from_keyed`` keeps decoded across calls.
+DECODED_POWERS = 4096
 
 
 class NumClass(Enum):
@@ -207,16 +217,26 @@ def _brace_depth(x: GrossNumber) -> int:
     """How deeply ``numio.print_canonical`` nests braces for x.  Each level
     of nonzero grosspowers below x but the last holds one that leads deeper,
     so is not 0 or 1 and opens a brace; the last opens one unless all are 1.
+    Read per grosspower of x: a finite one opens a brace unless it is 1, and
+    any other opens one around its own depth.  Cached on x, as ``__hash__``
+    caches its hash, so grosspowers shared between values are walked once.
 
     >>> _brace_depth(GROSSONE ** GROSSONE + GROSSONE)
     1
     """
-    depth, level = 0, [x]
-    while True:
-        deeper = [p for y in level for _, p in y.terms if p.terms]
-        if not deeper:
-            return depth - (depth > 0 and all(p.terms[0].coefficient == 1 for p in level))
-        depth, level = depth + 1, deeper
+    # getattr with a default: a raised AttributeError on every fresh value
+    # cost (G1^p)^k about 6% in the nested benchmark
+    depth = getattr(x, "_depth", None)
+    if depth is not None:
+        return depth
+    depth = 0
+    for _, p in x.terms:
+        if len(p.terms) == 1 and not p.terms[0].exponent.terms:
+            depth = max(depth, p.terms[0].coefficient != 1)
+        elif p.terms:
+            depth = max(depth, 1 + _brace_depth(p))
+    object.__setattr__(x, "_depth", depth)
+    return depth
 
 
 # --------------------------------------------------------------- structure
@@ -432,16 +452,16 @@ def _from_keyed(codec: tuple, keyed: list) -> GrossNumber:
     than half a place, then ``key -= d * place``.  Within one call each
     ``(digit, basis element)`` becomes one shared inner GrossTerm.  Key 0
     maps to the shared ZERO exponent, so finite results hash like their
-    rational value.  Over one basis element the key is the digit, read
-    without the loop, which costs the ``series`` benchmark 7%.
+    rational value.  Over one basis element, as for every product, power
+    and quotient whose grosspowers are all finite, the key is the digit:
+    ``_decoded`` reads it without the loop and shares the grosspower across
+    calls.  Over more, a key's meaning also depends on the radix, so keys
+    rarely repeat across calls and each call decodes its own.
     """
     basis, scale, places = codec
     if len(basis) == 1:
         unit = basis[0]
-        return GrossNumber(tuple(
-            GrossTerm(c, GrossNumber((GrossTerm(Fraction(k, scale), unit),)) if k else ZERO)
-            for k, c in keyed
-        ))
+        return GrossNumber(tuple(GrossTerm(c, _decoded(k, scale, unit) if k else ZERO) for k, c in keyed))
     made: dict = {}
     out = []
     for key, c in keyed:
@@ -458,6 +478,13 @@ def _from_keyed(codec: tuple, keyed: list) -> GrossNumber:
                 inner.append(term)
         out.append(GrossTerm(c, GrossNumber(tuple(inner)) if inner else ZERO))
     return GrossNumber(tuple(out))
+
+
+@lru_cache(maxsize=DECODED_POWERS)
+def _decoded(key: int, scale: int, unit: GrossNumber) -> GrossNumber:
+    """The grosspower ``(key/scale)*G1^unit``, one shared value per
+    ``(key, scale, unit)`` among the last ``DECODED_POWERS`` decoded."""
+    return GrossNumber((GrossTerm(Fraction(key, scale), unit),))
 
 
 def scalar_mul(q: RationalLike, x: GrossNumber) -> GrossNumber:
@@ -606,7 +633,8 @@ def divide(x: GrossNumber, y: GrossNumber, max_terms: int = DEFAULT_DIV_TERMS) -
 
     Quotient terms come out in strictly decreasing exponent order until the
     remainder vanishes or ``max_terms`` terms have been emitted.  The
-    identity ``x == quotient * y + remainder`` always holds exactly.
+    identity ``x == quotient * y + remainder`` always holds exactly.  A
+    budget above ``MAX_DIV_TERMS`` raises LimitExceeded before any work.
 
     A single-term divisor is a monomial shift, as in ``multiply``: the
     quotient is the first ``max_terms`` terms of x divided by it and the
@@ -626,6 +654,8 @@ def divide(x: GrossNumber, y: GrossNumber, max_terms: int = DEFAULT_DIV_TERMS) -
         raise DivisionByZero("division by zero")
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
+    if max_terms > MAX_DIV_TERMS:
+        raise LimitExceeded(f"a division may emit at most {MAX_DIV_TERMS} quotient terms, not {max_terms}")
     if len(y.terms) == 1:
         cy, py = y.terms[0]
         inverse, shift = 1 / cy, negate(py)

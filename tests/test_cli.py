@@ -68,6 +68,12 @@ def test_eval_inexact_division_needs_flag(capsys):
     assert (code, out) == (0, "1 - G1^{-1} + G1^{-2}\n")
 
 
+def test_eval_division_budget_above_the_cap_is_a_limit_error(capsys):
+    code, out, err = run(capsys, "eval", "--div-truncate", "1000000", "1/(1+G1^{-1})")
+    assert (code, out) == (3, "")
+    assert err == "error: a division may emit at most 10000 quotient terms, not 1000000\n"
+
+
 def test_eval_decimal_format(capsys):
     code, out, _ = run(capsys, "eval", "--format", "decimal:2", "1/3 * G1")
     assert (code, out) == (0, "0.33*G1\n")
@@ -197,6 +203,26 @@ def test_sum_geometric_infinite_rejected(capsys):
     code, _, err = run(capsys, "sum", "--summand", "2^i", "--upper", "G1")
     assert code == 3
     assert "geometric" in err
+
+
+def test_sum_term_by_term_count_above_the_cap_is_a_limit_error(capsys):
+    code, out, err = run(capsys, "sum", "--summand", "2^i - 2^i", "--upper", "1000000000")
+    assert (code, out) == (3, "")
+    assert err == "error: a sum without a closed form adds at most 10000 items, not 1000000000\n"
+
+
+def test_printed_negative_values_reenter_after_a_double_dash_or_an_equals_sign(capsys):
+    code, out, _ = run(capsys, "eval", "1 - 2*G1")
+    assert (code, out) == (0, "-2*G1 + 1\n")
+    assert run(capsys, "eval", "--", "-2*G1 + 1") == (0, out, "")
+    code, out, _ = run(capsys, "sum", "--summand=-i", "--upper", "G1")
+    assert (code, out) == (0, "-0.5*G1^{2} - 0.5*G1\n")
+    assert run(capsys, "eval", "--", "-G1") == (0, "-G1\n", "")
+    # without them a leading '-' reads as an option: a usage error
+    for argv in (["eval", "-G1"], ["sum", "--summand", "-i", "--upper", "G1"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 1
 
 
 def test_sum_alternating_needs_parity(capsys):

@@ -11,6 +11,8 @@ import hypothesis.strategies as st
 
 from grossone import core
 from grossone.core import (
+    DECODED_POWERS,
+    MAX_DIV_TERMS,
     MAX_NESTING,
     DivResult,
     GROSSONE,
@@ -275,6 +277,17 @@ def test_exact_divide_raises_when_inexact():
         exact_divide(ONE, 1 + G1_INV)
 
 
+def test_divide_refuses_a_budget_above_the_cap():
+    assert divide(ONE, G1, MAX_DIV_TERMS).quotient == G1_INV
+    with pytest.raises(LimitExceeded):
+        divide(ONE, 1 + G1_INV, MAX_DIV_TERMS + 1)
+    message = f"a division may emit at most {MAX_DIV_TERMS} quotient terms, not {10**9}"
+    with pytest.raises(LimitExceeded, match=message):
+        divide(ONE, 1 + G1_INV, 10**9)
+    with pytest.raises(LimitExceeded):
+        exact_divide(G1, G1, MAX_DIV_TERMS + 1)
+
+
 def test_divide_by_zero():
     with pytest.raises(DivisionByZero):
         divide(G1, ZERO)
@@ -399,6 +412,55 @@ def test_multiply_finite_exponents_fixed_cases():
     x = monomial(3, Fraction(1, 7)) - monomial(2, Fraction(-1, 11)) + 1
     y = monomial(Fraction(1, 2), Fraction(2, 13)) + monomial(5, Fraction(-3, 7))
     assert multiply(x, y) == reference_multiply(x, y)
+
+
+# ------------------------------------------------ shared grosspowers
+
+
+def _finite_rebuilt(x):
+    """x built again by normalize from fresh Fractions and grosspowers."""
+    return normalize(
+        (Fraction(t.coefficient.numerator, t.coefficient.denominator), from_rational(as_rational(t.exponent)))
+        for t in x.terms
+    )
+
+
+@given(finite_exponent_numbers, finite_exponent_numbers.filter(bool), st.integers(1, 4))
+def test_shared_grosspowers_give_the_values_normalize_builds(x, y, n):
+    for make in (
+        lambda: multiply(x, y),
+        lambda: divide(x, y, 5).quotient,
+        lambda: divide(x, y, 5).remainder,
+        lambda: power_int(x, n),
+    ):
+        first, again = make(), make()
+        fresh = _finite_rebuilt(first)
+        assert first == again == fresh
+        assert hash(first) == hash(again) == hash(fresh)
+        for term, fresh_term in zip(again.terms, fresh.terms):
+            assert hash(term.exponent) == hash(fresh_term.exponent) == hash(as_rational(term.exponent))
+    # a repeated product of two sums takes its grosspowers from the table
+    if len(x.terms) > 1 and len(y.terms) > 1:
+        assert all(a.exponent is b.exponent for a, b in zip(multiply(x, y).terms, multiply(x, y).terms))
+
+
+def test_one_key_under_two_scales_decodes_to_two_grosspowers():
+    halves = multiply(monomial(1, Fraction(1, 2)) + 1, monomial(1, Fraction(-1, 2)) + 1)
+    thirds = multiply(monomial(1, Fraction(1, 3)) + 1, monomial(1, Fraction(-1, 3)) + 1)
+    assert [t.exponent for t in halves.terms] == [Fraction(1, 2), 0, Fraction(-1, 2)]
+    assert [t.exponent for t in thirds.terms] == [Fraction(1, 3), 0, Fraction(-1, 3)]
+    assert core._decoded(1, 2, ZERO) == Fraction(1, 2)
+    assert core._decoded(1, 3, ZERO) == Fraction(1, 3)
+    assert halves.terms[1].exponent is ZERO
+
+
+def test_the_table_of_grosspowers_stays_within_its_bound():
+    for k in range(1, DECODED_POWERS + 200):
+        product = multiply(monomial(1, k) + 1, G1 + 1)
+        assert product == monomial(1, k + 1) + monomial(1, k) + G1 + 1
+    info = core._decoded.cache_info()
+    assert info.maxsize == DECODED_POWERS
+    assert info.currsize <= DECODED_POWERS
 
 
 @given(finite_exponent_numbers, finite_exponent_numbers.filter(bool), st.sampled_from([1, 5, 20]))
@@ -686,6 +748,15 @@ def test_gross_power_is_refused_exactly_when_it_would_nest_too_deep(p, k):
             power_gross(monomial(1, p), k)
     else:
         assert power_gross(monomial(1, p), k) == unchecked
+
+
+@given(deep_numbers)
+def test_cached_brace_depth_is_the_printed_depth(x):
+    assert core._brace_depth(x) == printed_depth(x)
+    # the second call reads the depth cached on x
+    assert core._brace_depth(x) == printed_depth(x)
+    for _, p in x.terms:
+        assert core._brace_depth(p) == printed_depth(p)
 
 
 def test_monomials_nest_up_to_the_limit_and_reparse():

@@ -18,9 +18,10 @@ from grossone.core import (
     power_int,
     scalar_mul,
 )
-from grossone.errors import ParityUndefined, UnsupportedSummand
+from grossone.errors import LimitExceeded, ParityUndefined, UnsupportedSummand
 from grossone.numio import parse_expression
 from grossone.summation import (
+    MAX_SUM_ITEMS,
     PolynomialSummand,
     bernoulli,
     faulhaber,
@@ -165,6 +166,13 @@ def test_sum_finite_generic_examples():
 def test_sum_finite_generic_rejects_negative_count():
     with pytest.raises(ValueError):
         sum_finite_generic(parse_expression("i"), -1)
+
+
+def test_sum_finite_generic_refuses_a_count_above_the_cap():
+    assert sum_finite_generic(parse_expression("1"), MAX_SUM_ITEMS) == from_int(MAX_SUM_ITEMS)
+    message = f"a sum without a closed form adds at most {MAX_SUM_ITEMS} items, not {MAX_SUM_ITEMS + 1}"
+    with pytest.raises(LimitExceeded, match=message):
+        sum_finite_generic(parse_expression("2^i"), MAX_SUM_ITEMS + 1)
 
 
 # ------------------------------------------------------ summand extraction
