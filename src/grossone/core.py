@@ -59,10 +59,12 @@ DEFAULT_DIV_TERMS = 20
 #: so only ``monomial`` (also for (G1^p)^k) checks it, and values re-parse.
 MAX_NESTING = 100
 
-#: Largest term budget ``divide`` accepts; the 10,000 quotient terms of
-#: ``1/(1+G1^{-1})`` take about 0.3 s on a 2-core host, and a larger budget
-#: is refused before any work.
-MAX_DIV_TERMS = 10_000
+#: Most quotient terms ``divide`` emits, whatever its budget; a quotient that
+#: needs more is refused once it has this many.  Sized on growing
+#: coefficients: on a 2-core host, ``eval "1/(2+3*G1^{-1})"`` to 1,000 terms
+#: takes about 0.4 s end to end; to 10,000 terms it divides for 2 s and runs
+#: over 10 s before the printer refuses its coefficients.
+MAX_DIV_TERMS = 1_000
 
 #: How many finite grosspowers ``_from_keyed`` keeps decoded across calls.
 DECODED_POWERS = 4096
@@ -109,10 +111,9 @@ class GrossNumber:
         # Cached: values are immutable and get hashed heavily as exponent
         # keys.  Purely finite values hash like their rational value so
         # that x == 5 implies hash(x) == hash(5).
-        try:
-            return self._hash
-        except AttributeError:
-            pass
+        h = getattr(self, "_hash", None)
+        if h is not None:
+            return h
         q = as_rational(self)
         h = hash(self.terms) if q is None else hash(q)
         object.__setattr__(self, "_hash", h)
@@ -634,18 +635,20 @@ def divide(x: GrossNumber, y: GrossNumber, max_terms: int = DEFAULT_DIV_TERMS) -
     Quotient terms come out in strictly decreasing exponent order until the
     remainder vanishes or ``max_terms`` terms have been emitted.  The
     identity ``x == quotient * y + remainder`` always holds exactly.  A
-    budget above ``MAX_DIV_TERMS`` raises LimitExceeded before any work.
+    budget above ``MAX_DIV_TERMS`` is honoured up to that cap: a division
+    whose quotient would need more than ``MAX_DIV_TERMS`` terms raises
+    LimitExceeded once it has emitted that many, and any other finishes.
 
     A single-term divisor is a monomial shift, as in ``multiply``: the
     quotient is the first ``max_terms`` terms of x divided by it and the
     remainder is the rest of x.  Otherwise one loop runs on the integer
-    keys of ``_keyed``, packed for ``max_terms`` steps, and does fraction-free
-    (pseudo-)division on the integer coefficients of ``_scaled``
-    (Knuth, TAOCP vol. 2, 4.6.1).  The remainder is a list of integers
-    ``R`` over one running denominator ``d``, and the divisor's integer lead
-    is ``a0``.  A step with leading remainder coefficient ``c`` and
-    ``g = gcd(c, a0)`` emits one Fraction for its quotient term, drops the
-    leading term (it cancels exactly), and sets
+    keys of ``_keyed``, packed for the steps it may take, and does
+    fraction-free (pseudo-)division on the integer coefficients of
+    ``_scaled`` (Knuth, TAOCP vol. 2, 4.6.1).  The remainder is a list of
+    integers ``R`` over one running denominator ``d``, and the divisor's
+    integer lead is ``a0``.  A step with leading remainder coefficient
+    ``c`` and ``g = gcd(c, a0)`` emits one Fraction for its quotient term,
+    drops the leading term (it cancels exactly), and sets
     ``R = (a0/g)*R[1:] - (c/g)*tail`` and ``d = d*a0/g``, where ``tail`` is
     the divisor's tail shifted by the step.  The remainder becomes Fractions
     once, at the end.
@@ -654,25 +657,26 @@ def divide(x: GrossNumber, y: GrossNumber, max_terms: int = DEFAULT_DIV_TERMS) -
         raise DivisionByZero("division by zero")
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
-    if max_terms > MAX_DIV_TERMS:
-        raise LimitExceeded(f"a division may emit at most {MAX_DIV_TERMS} quotient terms, not {max_terms}")
+    steps = min(max_terms, MAX_DIV_TERMS)
     if len(y.terms) == 1:
+        if steps < max_terms and len(x.terms) > steps:
+            raise _over_cap(max_terms)
         cy, py = y.terms[0]
         inverse, shift = 1 / cy, negate(py)
-        head = x.terms[:max_terms]
+        head = x.terms[:steps]
         return DivResult(
             GrossNumber(tuple(GrossTerm(cx * inverse, add(px, shift)) for cx, px in head)),
-            GrossNumber(x.terms[max_terms:]),
-            exact=len(x.terms) <= max_terms,
+            GrossNumber(x.terms[steps:]),
+            exact=len(x.terms) <= steps,
             terms_emitted=len(head),
         )
-    codec, xs, ys = _keyed(x, y, 1, 2 * max_terms)
+    codec, xs, ys = _keyed(x, y, 1, 2 * steps)
     delta, remainder = _scaled(xs)
     dy, ys = _scaled(ys)
     lead_key, a0 = ys[0]
     tail = ys[1:]
     quotient = []
-    while remainder and len(quotient) < max_terms:
+    while remainder and len(quotient) < steps:
         key, c = remainder[0]
         shift = key - lead_key
         quotient.append((shift, Fraction(c * dy, delta * a0)))
@@ -704,12 +708,18 @@ def divide(x: GrossNumber, y: GrossNumber, max_terms: int = DEFAULT_DIV_TERMS) -
         merged.extend(remainder[i:])
         merged.extend(shifted[j:])
         remainder = merged
+    if remainder and steps < max_terms:
+        raise _over_cap(max_terms)
     return DivResult(
         _from_keyed(codec, quotient),
         _from_keyed(codec, [(k, Fraction(r, delta)) for k, r in remainder]),
         exact=not remainder,
         terms_emitted=len(quotient),
     )
+
+
+def _over_cap(max_terms: int) -> LimitExceeded:
+    return LimitExceeded(f"a division may emit at most {MAX_DIV_TERMS} quotient terms, not {max_terms}")
 
 
 def exact_divide(x: GrossNumber, y: GrossNumber, max_terms: int = DEFAULT_DIV_TERMS) -> GrossNumber:

@@ -47,9 +47,9 @@ class LimitExceeded(GrossoneError):
     """An explicit limit was reached: a value whose numeral would nest
     deeper than ``core.MAX_NESTING`` braces, a coefficient with more digits
     than Python converts to text, function calls nested deeper than
-    ``evaluator.MAX_CALL_LEVELS`` levels, a division budget above
-    ``core.MAX_DIV_TERMS`` terms, or a term-by-term sum of more than
-    ``summation.MAX_SUM_ITEMS`` items."""
+    ``evaluator.MAX_CALL_LEVELS`` levels, a quotient that would need more
+    than ``core.MAX_DIV_TERMS`` terms under a budget above that cap, or a
+    term-by-term sum of more than ``summation.MAX_SUM_ITEMS`` items."""
 
 
 # ------------------------------------------------------------------- parsing

@@ -32,17 +32,20 @@ The canonical printer emits terms in strictly decreasing grosspower order;
 exact mode prints coefficients as decimals when the denominator allows and
 as fractions otherwise, and its output re-parses to the identical value.
 
-The lexer is one compiled regular expression.  A token carries its offset
-in the text; the 1-based line and column of an error are computed from
-that offset only when the error is raised.  The parser walks the token
-list by index, one method per precedence level.
+The lexer is one compiled regular expression.  A token's kind is a plain
+string, the one thing the parser tests: an operator's or keyword's
+canonical text (``≤``, ``≥`` and ``①`` lex as ``<=``, ``>=`` and ``G1``),
+``"number"``, ``"name"``, or ``""`` at the end of input.  Kinds compare
+with ``==``, as a keyword's kind is a slice of the text.  A token carries
+its offset in the text; the 1-based line and column of an error are
+computed from that offset only when the error is raised.  The parser walks
+the token list by index, one method per precedence level.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple, Union
 
@@ -51,44 +54,8 @@ from .core import MAX_NESTING, GrossNumber, GrossTerm, ONE, ZERO, normalize
 from .errors import DepthLimitExceeded, LimitExceeded, ParseError, UnknownCharacter
 
 
-class TokenKind(Enum):
-    DECIMAL_LIT = "decimal"
-    GROSSONE = "grossone"
-    IDENT = "ident"
-    PLUS = "+"
-    MINUS = "-"
-    STAR = "*"
-    SLASH = "/"
-    CARET = "^"
-    LPAREN = "("
-    RPAREN = ")"
-    LBRACE = "{"
-    RBRACE = "}"
-    COMMA = ","
-    ASSIGN = "="
-    KEYWORD = "keyword"
-    LT = "<"
-    LE = "<="
-    GT = ">"
-    GE = ">="
-    SEMICOLON = ";"
-    EOF = "end of input"
-
-
-# The kinds the lexer and parser test, as module globals: reading a member
-# from an Enum class costs about ten times as much as reading a global.
-_DECIMAL_LIT, _GROSSONE, _IDENT, _KEYWORD, _EOF = (
-    TokenKind.DECIMAL_LIT, TokenKind.GROSSONE, TokenKind.IDENT, TokenKind.KEYWORD, TokenKind.EOF
-)
-_PLUS, _MINUS, _STAR, _SLASH, _CARET = (
-    TokenKind.PLUS, TokenKind.MINUS, TokenKind.STAR, TokenKind.SLASH, TokenKind.CARET
-)
-_LPAREN, _RPAREN, _LBRACE, _RBRACE = TokenKind.LPAREN, TokenKind.RPAREN, TokenKind.LBRACE, TokenKind.RBRACE
-_COMMA, _ASSIGN, _SEMICOLON = TokenKind.COMMA, TokenKind.ASSIGN, TokenKind.SEMICOLON
-
-
 class Token(NamedTuple):
-    kind: TokenKind
+    kind: str
     lexeme: str
     offset: int  # in code points from the start of the text
 
@@ -103,41 +70,16 @@ _TOKEN = re.compile(
 )
 _OPERATOR, _DECIMAL, _WORD = 1, 2, 3
 
-_WORDS = {
-    "G1": TokenKind.GROSSONE,
-    "let": TokenKind.KEYWORD,
-    "def": TokenKind.KEYWORD,
-    "if": TokenKind.KEYWORD,
-}
-
-_OPERATORS = {
-    "+": TokenKind.PLUS,
-    "-": TokenKind.MINUS,
-    "*": TokenKind.STAR,
-    "/": TokenKind.SLASH,
-    "^": TokenKind.CARET,
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    "{": TokenKind.LBRACE,
-    "}": TokenKind.RBRACE,
-    ",": TokenKind.COMMA,
-    "=": TokenKind.ASSIGN,
-    ";": TokenKind.SEMICOLON,
-    "<": TokenKind.LT,
-    "<=": TokenKind.LE,
-    "≤": TokenKind.LE,
-    ">": TokenKind.GT,
-    ">=": TokenKind.GE,
-    "≥": TokenKind.GE,
-    "①": TokenKind.GROSSONE,
-}
+_ALIASES = {"≤": "<=", "≥": ">=", "①": "G1"}
+_KEYWORDS = frozenset({"G1", "let", "def", "if"})
 
 
 def lex(text: str) -> list[Token]:
-    """Tokenize text; the last token is EOF, at the offset ``len(text)``.
+    """Tokenize text; the last token, of kind ``""``, is the end of input,
+    at the offset ``len(text)``.
 
-    >>> [(t.kind.name, t.lexeme, t.offset) for t in lex("x①")]
-    [('IDENT', 'x', 0), ('GROSSONE', '①', 1), ('EOF', '', 2)]
+    >>> [(t.kind, t.lexeme, t.offset) for t in lex("x ≤ ①")]
+    [('name', 'x', 0), ('<=', '≤', 2), ('G1', '①', 4), ('', '', 5)]
     """
     tokens: list[Token] = []
     append = tokens.append
@@ -146,15 +88,15 @@ def lex(text: str) -> list[Token]:
         lexeme = m[group]
         offset = m.start(group)
         if group == _OPERATOR:
-            append(Token(_OPERATORS[lexeme], lexeme, offset))
+            append(Token(_ALIASES.get(lexeme, lexeme), lexeme, offset))
         elif group == _DECIMAL:
-            append(Token(_DECIMAL_LIT, lexeme, offset))
+            append(Token("number", lexeme, offset))
         elif group == _WORD and (lexeme[0].isalpha() or lexeme[0] == "_"):
-            append(Token(_WORDS.get(lexeme, _IDENT), lexeme, offset))
+            append(Token(lexeme if lexeme in _KEYWORDS else "name", lexeme, offset))
         elif lexeme:
             raise _error(UnknownCharacter, f"unexpected character {lexeme[0]!r}", text, offset)
         else:  # the end, maybe after whitespace: stop before a second match there
-            append(Token(_EOF, "", offset))
+            append(Token("", "", offset))
             break
     return tokens
 
@@ -239,11 +181,7 @@ def operator_chain(ast: Ast) -> tuple[Ast, list[tuple[str, Ast]]]:
 
 # ------------------------------------------------------------------ parser
 
-# Operator tables are keyed by lexeme: an operator's lexeme names its kind,
-# and a str hashes faster than an Enum member.
-_ADDITIVE = frozenset({"+", "-"})
-_MULTIPLICATIVE = frozenset({"*", "/"})
-_RELATIONS = {"<": "<", "<=": "<=", "≤": "<=", "=": "=", ">=": ">=", "≥": ">=", ">": ">"}
+_RELATIONS = frozenset({"<", "<=", "=", ">=", ">"})
 
 _G1_LITERAL = Literal(core.GROSSONE)
 _FRACTION_ONE = Fraction(1)
@@ -267,15 +205,15 @@ class _Parser:
             offset = self.tokens[self.index].offset
         return _error(ParseError, message, self.text, offset)
 
-    def expect(self, kind: TokenKind, what: str) -> Token:
+    def expect(self, kind: str, what: str) -> Token:
         token = self.tokens[self.index]
-        if token.kind is not kind:
+        if token.kind != kind:
             raise self.fail(f"expected {what}, found {token.lexeme!r}" if token.lexeme else f"expected {what}")
         self.index += 1
         return token
 
-    def accept(self, kind: TokenKind) -> bool:
-        if self.tokens[self.index].kind is kind:
+    def accept(self, kind: str) -> bool:
+        if self.tokens[self.index].kind == kind:
             self.index += 1
             return True
         return False
@@ -290,11 +228,11 @@ class _Parser:
 
     def whole(self, production):
         result = production(self)
-        self.expect(_EOF, "end of input")
+        self.expect("", "end of input")
         return result
 
     def decimal(self, token: Token) -> Fraction:
-        """The value of a DECIMAL_LIT token.  Python converts at most
+        """The value of a number token.  Python converts at most
         ``sys.get_int_max_str_digits()`` digits to an int, so a longer
         run of digits is malformed input, reported at its position."""
         whole, _, fraction = token.lexeme.partition(".")
@@ -315,13 +253,13 @@ class _Parser:
         tokens = self.tokens
         pairs: list[tuple[Fraction, GrossNumber]] = []
         sign = tokens[self.index].kind
-        if sign is _PLUS or sign is _MINUS:
+        if sign == "+" or sign == "-":
             self.index += 1
         while True:
             coefficient, exponent = self.literal_term()
-            pairs.append((-coefficient if sign is _MINUS else coefficient, exponent))
+            pairs.append((-coefficient if sign == "-" else coefficient, exponent))
             sign = tokens[self.index].kind
-            if sign is not _PLUS and sign is not _MINUS:
+            if sign != "+" and sign != "-":
                 break
             self.index += 1
         self.depth -= 1
@@ -329,80 +267,75 @@ class _Parser:
 
     def literal_term(self) -> tuple[Fraction, GrossNumber]:
         token = self.tokens[self.index]
-        if token.kind is _GROSSONE:
+        if token.kind == "G1":
             return _FRACTION_ONE, self.literal_exponent()
-        if token.kind is not _DECIMAL_LIT:
+        if token.kind != "number":
             raise self.fail("expected a coefficient or G1")
         self.index += 1
         coefficient = self.decimal(token)
-        if self.accept(_SLASH):
-            denominator = self.expect(_DECIMAL_LIT, "a denominator")
+        if self.accept("/"):
+            denominator = self.expect("number", "a denominator")
             value = self.decimal(denominator)
             if "." in token.lexeme + denominator.lexeme or not value:
                 raise self.fail("a fraction is integer / nonzero integer", token.offset)
             coefficient /= value
-        if self.accept(_STAR):
+        if self.accept("*"):
             return coefficient, self.literal_exponent()
         return coefficient, ZERO
 
     def literal_exponent(self) -> GrossNumber:
-        self.expect(_GROSSONE, "G1")
-        if not self.accept(_CARET):
+        self.expect("G1", "G1")
+        if not self.accept("^"):
             return ONE
-        self.expect(_LBRACE, "'{'")
+        self.expect("{", "'{'")
         inner = self.literal()
-        self.expect(_RBRACE, "'}'")
+        self.expect("}", "'}'")
         return inner
 
     # -- statements
 
     def statement(self) -> Ast:
-        token = self.tokens[self.index]
-        if token.kind is _KEYWORD and token.lexeme == "let":
-            self.index += 1
-            name = self.expect(_IDENT, "a name").lexeme
-            self.expect(_ASSIGN, "'='")
+        if self.accept("let"):
+            name = self.expect("name", "a name").lexeme
+            self.expect("=", "'='")
             return LetBinding(name, self.compare())
-        if token.kind is _KEYWORD and token.lexeme == "def":
-            self.index += 1
+        if self.accept("def"):
             return self.definition()
         return self.compare()
 
     def definition(self) -> PiecewiseDef:
-        name = self.expect(_IDENT, "a function name").lexeme
-        self.expect(_LPAREN, "'('")
-        param = self.expect(_IDENT, "a parameter name").lexeme
-        self.expect(_RPAREN, "')'")
-        self.expect(_ASSIGN, "'='")
-        if not self.accept(_LBRACE):
+        name = self.expect("name", "a function name").lexeme
+        self.expect("(", "'('")
+        param = self.expect("name", "a parameter name").lexeme
+        self.expect(")", "')'")
+        self.expect("=", "'='")
+        if not self.accept("{"):
             return PiecewiseDef(name, param, (Branch(self.additive()),))
         tokens = self.tokens
         branches: list[Branch] = []
         while True:
             body = self.additive()
-            if_token = tokens[self.index]
-            if not (if_token.kind is _KEYWORD and if_token.lexeme == "if"):
+            if not self.accept("if"):
                 raise self.fail("expected 'if' after the branch expression")
-            self.index += 1
-            cond_var = self.expect(_IDENT, "the parameter name")
+            cond_var = self.expect("name", "the parameter name")
             if cond_var.lexeme != param:
                 raise self.fail(f"branch condition must test the parameter {param!r}", cond_var.offset)
-            relation = _RELATIONS.get(tokens[self.index].lexeme)
-            if relation is None:
+            relation = tokens[self.index].kind
+            if relation not in _RELATIONS:
                 raise self.fail("expected a comparison operator")
             self.index += 1
             branches.append(Branch(body, relation, self.additive()))
-            if not self.accept(_SEMICOLON):
+            if not self.accept(";"):
                 break
-        self.expect(_RBRACE, "';' or '}'")
+        self.expect("}", "';' or '}'")
         return PiecewiseDef(name, param, tuple(branches))
 
     # -- expressions, loosest binding first
 
     def compare(self) -> Ast:
         left = self.additive()
-        relation = _RELATIONS.get(self.tokens[self.index].lexeme)
-        if relation is None:
+        relation = self.tokens[self.index].kind
+        if relation not in _RELATIONS:
             return left
         self.index += 1
         return Compare(relation, left, self.additive())
@@ -410,7 +343,7 @@ class _Parser:
     def additive(self) -> Ast:
         left = self.multiplicative()
         tokens = self.tokens
-        while (op := tokens[self.index].lexeme) in _ADDITIVE:
+        while (op := tokens[self.index].kind) == "+" or op == "-":
             self.index += 1
             left = Binary(op, left, self.multiplicative())
         return left
@@ -418,7 +351,7 @@ class _Parser:
     def multiplicative(self) -> Ast:
         left = self.unary()
         tokens = self.tokens
-        while (op := tokens[self.index].lexeme) in _MULTIPLICATIVE:
+        while (op := tokens[self.index].kind) == "*" or op == "/":
             self.index += 1
             left = Binary(op, left, self.unary())
         return left
@@ -428,17 +361,17 @@ class _Parser:
         a braced expression or, right-associatively, another unary."""
         self.nest()
         tokens = self.tokens
-        if tokens[self.index].kind is _MINUS:
+        if tokens[self.index].kind == "-":
             self.index += 1
             ast: Ast = Unary("-", self.unary())
         else:
             ast = self.atom()
-            if tokens[self.index].kind is _CARET:
+            if tokens[self.index].kind == "^":
                 self.index += 1
-                if tokens[self.index].kind is _LBRACE:
+                if tokens[self.index].kind == "{":
                     self.index += 1
                     exponent = self.additive()
-                    self.expect(_RBRACE, "'}'")
+                    self.expect("}", "'}'")
                 else:
                     exponent = self.unary()
                 ast = Binary("^", ast, exponent)
@@ -448,28 +381,28 @@ class _Parser:
     def atom(self) -> Ast:
         token = self.tokens[self.index]
         kind = token.kind
-        if kind is _DECIMAL_LIT:
+        if kind == "number":
             self.index += 1
             q = self.decimal(token)
             return Literal(GrossNumber((GrossTerm(q, ZERO),)) if q else ZERO)
-        if kind is _GROSSONE:
+        if kind == "G1":
             self.index += 1
             return _G1_LITERAL
-        if kind is _IDENT:
+        if kind == "name":
             self.index += 1
-            if not self.accept(_LPAREN):
+            if not self.accept("("):
                 return Var(token.lexeme)
             args: list[Ast] = []
-            if self.tokens[self.index].kind is not _RPAREN:
+            if self.tokens[self.index].kind != ")":
                 args.append(self.compare())
-                while self.accept(_COMMA):
+                while self.accept(","):
                     args.append(self.compare())
-            self.expect(_RPAREN, "')'")
+            self.expect(")", "')'")
             return Call(token.lexeme, tuple(args))
-        if kind is _LPAREN:
+        if kind == "(":
             self.index += 1
             inner = self.compare()
-            self.expect(_RPAREN, "')'")
+            self.expect(")", "')'")
             return inner
         raise self.fail("expected an expression")
 

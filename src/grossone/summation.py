@@ -95,10 +95,6 @@ class PolynomialSummand:
             coeffs.pop()
         return cls(tuple(coeffs))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1 if self.coefficients else 0
-
     def compose_affine(self, a: Fraction, b: Fraction) -> "PolynomialSummand":
         """The summand as a polynomial in t where i = a*t + b."""
         size = len(self.coefficients)

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from grossone.cli import main
-from grossone.core import ONE, ZERO, divide
+from grossone.core import MAX_DIV_TERMS, ONE, ZERO, divide
 from grossone.evaluator import Env
 from grossone.numio import parse_expression, parse_number
 from grossone.summation import sum_finite_generic
@@ -71,7 +71,10 @@ def test_eval_inexact_division_needs_flag(capsys):
 def test_eval_division_budget_above_the_cap_is_a_limit_error(capsys):
     code, out, err = run(capsys, "eval", "--div-truncate", "1000000", "1/(1+G1^{-1})")
     assert (code, out) == (3, "")
-    assert err == "error: a division may emit at most 10000 quotient terms, not 1000000\n"
+    assert err == f"error: a division may emit at most {MAX_DIV_TERMS} quotient terms, not 1000000\n"
+    # a quotient that stays below the cap is not refused
+    code, out, err = run(capsys, "eval", "--div-truncate", "20000", "1/2")
+    assert (code, out, err) == (0, "0.5\n", "")
 
 
 def test_eval_decimal_format(capsys):

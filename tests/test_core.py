@@ -284,8 +284,19 @@ def test_divide_refuses_a_budget_above_the_cap():
     message = f"a division may emit at most {MAX_DIV_TERMS} quotient terms, not {10**9}"
     with pytest.raises(LimitExceeded, match=message):
         divide(ONE, 1 + G1_INV, 10**9)
+    # refused only when the quotient reaches the cap
+    assert exact_divide(G1, G1, MAX_DIV_TERMS + 1) == ONE
+    assert exact_divide(ONE, from_int(2), 10**9) == Fraction(1, 2)
+    # the monomial shift: a dividend of MAX_DIV_TERMS terms fits, one more does not
+    fits = normalize([(1, from_int(-k)) for k in range(MAX_DIV_TERMS)])
+    assert divide(fits, G1, 10**9).terms_emitted == MAX_DIV_TERMS
     with pytest.raises(LimitExceeded):
-        exact_divide(G1, G1, MAX_DIV_TERMS + 1)
+        divide(fits + G1, G1, 10**9)
+    # long division: 1 + G1^{-1} + ... + G1^{-(n-1)} is (1 - G1^{-n}) / (1 - G1^{-1})
+    result = divide(1 - monomial(1, -MAX_DIV_TERMS), 1 - G1_INV, 10**9)
+    assert (result.exact, result.terms_emitted) == (True, MAX_DIV_TERMS)
+    with pytest.raises(LimitExceeded):
+        divide(1 - monomial(1, -MAX_DIV_TERMS - 1), 1 - G1_INV, 10**9)
 
 
 def test_divide_by_zero():

@@ -28,7 +28,6 @@ from grossone.numio import (
     LetBinding,
     Literal,
     PiecewiseDef,
-    TokenKind,
     Unary,
     Var,
     lex,
@@ -54,19 +53,16 @@ EXAMPLE_NUMERAL = (
 
 def test_lex_simple():
     kinds = [t.kind for t in lex("G1 + 1")]
-    assert kinds == [TokenKind.GROSSONE, TokenKind.PLUS, TokenKind.DECIMAL_LIT, TokenKind.EOF]
+    assert kinds == ["G1", "+", "number", ""]
+    # a glyph lexes to the kind of its ASCII spelling and keeps its lexeme
+    glyphs, spelled = lex("≤ ≥ ①"), lex("<= >= G1")
+    assert [t.kind for t in glyphs] == [t.kind for t in spelled] == ["<=", ">=", "G1", ""]
+    assert [t.lexeme for t in glyphs] == ["≤", "≥", "①", ""]
 
 
 def test_lex_braced_exponent():
     kinds = [t.kind for t in lex("①^{-9.2}")][:-1]
-    assert kinds == [
-        TokenKind.GROSSONE,
-        TokenKind.CARET,
-        TokenKind.LBRACE,
-        TokenKind.MINUS,
-        TokenKind.DECIMAL_LIT,
-        TokenKind.RBRACE,
-    ]
+    assert kinds == ["G1", "^", "{", "-", "number", "}"]
 
 
 def test_lex_second_dot_is_an_error():
@@ -87,16 +83,16 @@ def test_lex_slash_is_always_a_token():
     # same three tokens that expressions read as a division
     assert parse_number("1/3*G1") == scalar_mul(Fraction(1, 3), G1)
     kinds = [t.kind for t in lex("1/3*G1")][:3]
-    assert kinds == [TokenKind.DECIMAL_LIT, TokenKind.SLASH, TokenKind.DECIMAL_LIT]
+    assert kinds == ["number", "/", "number"]
 
 
 def test_lex_keywords_and_idents():
     kinds = {t.lexeme: t.kind for t in lex("let def if x G1x")[:-1]}
-    assert kinds["let"] is TokenKind.KEYWORD
-    assert kinds["def"] is TokenKind.KEYWORD
-    assert kinds["if"] is TokenKind.KEYWORD
-    assert kinds["x"] is TokenKind.IDENT
-    assert kinds["G1x"] is TokenKind.IDENT
+    assert kinds["let"] == "let"
+    assert kinds["def"] == "def"
+    assert kinds["if"] == "if"
+    assert kinds["x"] == "name"
+    assert kinds["G1x"] == "name"
 
 
 # The lexer's character classes: a decimal is ASCII digits only, a word
@@ -108,7 +104,7 @@ def test_lex_keywords_and_idents():
 def test_lex_grossone_glyph_ends_a_word(text):
     tokens = lex(text)
     assert [t.lexeme for t in tokens] == [text[:-1], "①", ""]
-    assert tokens[1].kind is TokenKind.GROSSONE
+    assert tokens[1].kind == "G1"
 
 
 @pytest.mark.parametrize("text", ["²", "½", "Ⅻ", "٣", "\v", "\u00a0"])
@@ -121,7 +117,7 @@ def test_lex_non_ascii_digits_and_other_spaces_are_unknown(text):
 
 @pytest.mark.parametrize("text", ["x²", "x٣", "é1", "_1"])
 def test_lex_word_goes_on_over_any_alphanumeric(text):
-    assert [(t.kind, t.lexeme) for t in lex(text)] == [(TokenKind.IDENT, text), (TokenKind.EOF, "")]
+    assert [(t.kind, t.lexeme) for t in lex(text)] == [("name", text), ("", "")]
 
 
 @pytest.mark.parametrize("text", ["1.", "1..2"])

@@ -1,14 +1,19 @@
 """The README's examples, run as written: each ``grossone ... # -> out``
-line of the CLI block, and the REPL block as one session."""
+line of the CLI block, and the REPL block as one session; and the output
+of ``scripts/worked_examples.py``, pinned in ``fixtures/worked_examples.txt``."""
 
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 
 import pytest
 
 from grossone.cli import main
 
-README = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+ROOT = pathlib.Path(__file__).parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 BLOCKS = README.split("```")[1::2]
 
 CLI_EXAMPLES = [
@@ -52,3 +57,13 @@ def test_repl_example(tmp_path, capsys):
             checked += 1
     assert next(printed, None) is None
     assert checked == 4
+
+
+def test_worked_examples_print_their_pinned_output():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONIOENCODING": "utf-8"}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "worked_examples.py")],
+        capture_output=True, encoding="utf-8", env=env,
+    )
+    expected = (ROOT / "tests" / "fixtures" / "worked_examples.txt").read_text(encoding="utf-8")
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", expected)
