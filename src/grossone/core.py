@@ -14,11 +14,14 @@ decides the sign, so every infinite number exceeds every finite one, which
 in turn exceeds every infinitesimal, which is still strictly positive when
 its leading coefficient is.
 
-Inside ``multiply``, ``divide`` and ``power_int`` grosspowers and grossdigits
-run as integers: ``_keyed`` packs each grosspower into one integer key, whose
-sum and order are those of the grosspowers, and ``_scaled`` puts an operand's
-grossdigits over one common denominator.  So their loops do only integer
-arithmetic, and ``_from_keyed`` builds one Fraction per result term.  When
+Inside ``multiply``, ``divide``, ``power_int`` and ``polynomial_at``
+grosspowers and grossdigits run as integers: ``_keyed`` packs each
+grosspower into one integer key, whose sum and order are those of the
+grosspowers, and ``_scaled`` puts an operand's grossdigits over one common
+denominator.  So their loops do only integer arithmetic, and ``_from_keyed``
+builds one Fraction per result term.  ``polynomial_at``, which substitutes a
+gross-number into the rational polynomials of ``summation``'s closed forms,
+packs it once and runs Horner's rule on the packed pairs.  When
 every grosspower is finite, a result term takes its grosspower from
 ``_decoded``, a bounded table shared across calls, so the same few finite
 grosspowers are made once and shared by every value that has them.
@@ -32,7 +35,7 @@ from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from math import comb, gcd, lcm
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Tuple, Union
+from typing import Iterable, NamedTuple, Sequence, Tuple, Union
 
 from .errors import (
     DivisionByZero,
@@ -375,10 +378,11 @@ def multiply(x: GrossNumber, y: GrossNumber) -> GrossNumber:
     return _from_keyed(codec, [(k, Fraction(c, dx * dy)) for k, c in _convolve(xs, ys)])
 
 
-def _convolve(xs: list, ys: list) -> list:
-    """The ``(key, int)`` pairs of the product of two lists of them: keys
-    add, coefficients multiply, like keys merge; nonzero, keys decreasing."""
-    products: dict = {}
+def _convolve(xs: list, ys: list, constant: int = 0) -> list:
+    """The ``(key, int)`` pairs of the product of two lists of them, plus
+    ``constant`` at key 0: keys add, coefficients multiply, like keys merge;
+    nonzero, keys decreasing."""
+    products: dict = {0: constant} if constant else {}
     for kx, cx in xs:
         for ky, cy in ys:
             key = kx + ky
@@ -577,6 +581,36 @@ def _dense_power(xs: list, n: int) -> list | None:
                 total += ((n + 1) * i - k) * a * c
         b.append(total // (k * a0))
     return [(n * top - k * g, c) for k, c in enumerate(b) if c]
+
+
+def polynomial_at(coefficients: Sequence[RationalLike], k: GrossNumber, denominator: int = 1) -> GrossNumber:
+    """``(c_0 + c_1*k + ... + c_d*k^d) / denominator`` for rational c_e.
+
+    k is packed once, as ``power_int(k, d)`` packs it, to integer pairs over
+    a scale s.  With L the lcm of the c_e's denominators and ``C_e = c_e*L``,
+    the value is ``sum C_e*s^(d-e)*(s*k)^e / (L*s^d*denominator)``: Horner's
+    rule (Knuth, TAOCP vol. 2, 4.6.4) on the pairs of s*k, each step adding
+    ``C_e*s^(d-e)`` at key 0, and one ``_from_keyed`` at the end.
+
+    >>> polynomial_at([0, 1, 1], GROSSONE, 2)
+    0.5*G1^{2} + 0.5*G1
+    """
+    cs = list(coefficients)
+    while cs and not cs[-1]:
+        cs.pop()
+    degree = len(cs) - 1
+    if degree < 1 or not k.terms:
+        return from_rational(Fraction(cs[0]) / denominator) if cs else ZERO
+    codec, ks, _ = _keyed(k, ZERO, degree)
+    s, ks = _scaled(ks)
+    common = lcm(*[c.denominator for c in cs])
+    ints = [c.numerator * (common // c.denominator) for c in cs]
+    keyed, shift = [(0, ints[-1])], 1
+    for c in reversed(ints[:-1]):
+        shift *= s
+        keyed = _convolve(keyed, ks, c * shift)
+    scale = common * shift * denominator
+    return _from_keyed(codec, [(key, Fraction(c, scale)) for key, c in keyed])
 
 
 def as_int(x: GrossNumber) -> int | None:

@@ -48,8 +48,9 @@ class LimitExceeded(GrossoneError):
     deeper than ``core.MAX_NESTING`` braces, a coefficient with more digits
     than Python converts to text, function calls nested deeper than
     ``evaluator.MAX_CALL_LEVELS`` levels, a quotient that would need more
-    than ``core.MAX_DIV_TERMS`` terms under a budget above that cap, or a
-    term-by-term sum of more than ``summation.MAX_SUM_ITEMS`` items."""
+    than ``core.MAX_DIV_TERMS`` terms under a budget above that cap, a
+    term-by-term sum of more than ``summation.MAX_SUM_ITEMS`` items, or a
+    polynomial summand of degree above ``summation.MAX_SUMMAND_DEGREE``."""
 
 
 # ------------------------------------------------------------------- parsing

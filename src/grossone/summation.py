@@ -6,14 +6,20 @@ Polynomial summands are summed through power-sum closed forms; alternating
 sums split into the odd- and even-indexed subsums, which needs the parity
 of the item count (numbers without a parity are rejected rather than
 averaged, because an average is not a sum).
+
+A closed form is a polynomial in the count with rational coefficients,
+built on integers from cached rows (Faulhaber's formula with Bernoulli
+numbers), one per grosspower of the summand's coefficients; the count, a
+gross-number, is substituted once per polynomial by ``core.polynomial_at``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import zip_longest
-from math import comb
+from math import comb, gcd, lcm
 from typing import Iterable, Tuple, Union
 
 from . import core
@@ -27,27 +33,59 @@ from .numio import Ast, Binary, Call, Compare, Unary, Var, operator_chain
 #: refused before the first item.
 MAX_SUM_ITEMS = 10_000
 
-_bernoulli_cache: list[Fraction] = []
+#: Highest degree of a polynomial summand, checked before each product that
+#: builds one, so ``i^100000`` stops at once.  On a 2-core host, ``sum
+#: --summand "(i+G1)^100" --upper "2*G1-1" --alternating`` takes 0.75 s.
+MAX_SUMMAND_DEGREE = 100
+
+# The Akiyama-Tanigawa triangle's last row, and the B_n read off it so far.
+_bernoulli_row: list[Fraction] = []
+_bernoulli_values: list[Fraction] = []
 
 
 def bernoulli(n: int) -> Fraction:
     """Exact Bernoulli number B_n with the B_1 = +1/2 convention.
 
     Computed by the Akiyama-Tanigawa triangle, which yields this convention
-    directly; values are cached per degree.
+    directly.  The triangle grows by the rows it lacks, so B_0 .. B_n cost
+    O(n^2) steps in all, in whatever order they are asked for.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n >= len(_bernoulli_cache):
-        row = [Fraction(0)] * (n + 1)
-        values: list[Fraction] = []
-        for m in range(n + 1):
-            row[m] = Fraction(1, m + 1)
-            for j in range(m, 0, -1):
-                row[j - 1] = j * (row[j - 1] - row[j])
-            values.append(row[0])
-        _bernoulli_cache[:] = values
-    return _bernoulli_cache[n]
+    row, values = _bernoulli_row, _bernoulli_values
+    for m in range(len(values), n + 1):
+        row.append(Fraction(1, m + 1))
+        for j in range(m, 0, -1):
+            row[j - 1] = j * (row[j - 1] - row[j])
+        values.append(row[0])
+    return values[n]
+
+
+@lru_cache(maxsize=4 * (MAX_SUMMAND_DEGREE + 2))  # the three (a, b) in use
+def _row(j: int, a: int, b: int) -> tuple[int, tuple[int, ...]]:
+    """``(D, (n_0, ..., n_{j+1}))``: the coefficients n_e/D in t of
+    (a*1 + b)^j + ... + (a*t + b)^j.  The (1, 0) row is Faulhaber's formula,
+    ``sum_r comb(j+1, r)*B_r*t^(j+1-r) / (j+1)`` for r = 0..j; any other
+    expands (a*s + b)^j binomially into (1, 0) rows."""
+    if (a, b) == (1, 0):
+        coefficients = [Fraction(0)] + [comb(j + 1, r) * bernoulli(r) / (j + 1) for r in range(j, -1, -1)]
+        common = lcm(*[c.denominator for c in coefficients])
+        return common, tuple(c.numerator * (common // c.denominator) for c in coefficients)
+    factors = [(comb(j, m) * a**m * b ** (j - m), m) for m in range(j + 1)]
+    return _combined([(f, _row(m, 1, 0)) for f, m in factors if f], j + 2)
+
+
+def _combined(pairs: list, size: int) -> tuple[int, tuple[int, ...]]:
+    """``sum q*row`` over ``(q, row)`` pairs of a rational and a row, as a
+    row of ``size`` entries in lowest terms, summed on integers."""
+    common = lcm(*[q.denominator * d for q, (d, _) in pairs])
+    out = [0] * size
+    for q, (d, numerators) in pairs:
+        factor = q.numerator * (common // (q.denominator * d))
+        for e, n in enumerate(numerators):
+            out[e] += factor * n
+    g = gcd(common, *out)
+    return common // g, tuple(n // g for n in out)
 
 
 def faulhaber(j: int, k: GrossNumber) -> GrossNumber:
@@ -58,25 +96,8 @@ def faulhaber(j: int, k: GrossNumber) -> GrossNumber:
     """
     if j < 0:
         raise ValueError("j must be >= 0")
-    k = as_gross(k)
-    if not k.terms:
-        return ZERO
-    return _power_sum(j, _count_powers(k, j + 1))
-
-
-def _count_powers(k: GrossNumber, n: int) -> list[GrossNumber]:
-    """``[k, k^2, ..., k^n]``, each power computed once."""
-    return [core.power_int(k, e) for e in range(1, n + 1)]
-
-
-def _power_sum(j: int, powers: list[GrossNumber]) -> GrossNumber:
-    """Faulhaber's formula for 1^j + ... + k^j from ``powers[e-1] = k^e``,
-    e = 1..j+1."""
-    total = ZERO
-    for m in range(j + 1):
-        coefficient = Fraction(comb(j + 1, m)) * bernoulli(m) / (j + 1)
-        total = total + scalar_mul(coefficient, powers[j - m])
-    return total
+    denominator, numerators = _row(j, 1, 0)
+    return core.polynomial_at(numerators, as_gross(k), denominator)
 
 
 CoefficientLike = Union[GrossNumber, int, Fraction]
@@ -108,10 +129,22 @@ class PolynomialSummand:
 
 def sum_polynomial(p: PolynomialSummand, k: GrossNumber) -> GrossNumber:
     """Sum of p(i) for i = 1..k, exact for any gross-number count k."""
-    powers = _count_powers(as_gross(k), len(p.coefficients))
-    total = ZERO
+    return _summed(p, as_gross(k), 1, 0)
+
+
+def _summed(p: PolynomialSummand, k: GrossNumber, a: int, b: int) -> GrossNumber:
+    """Sum of p(a*s + b) for s = 1..k: the digits q_j of one grosspower g
+    in p's coefficients make ``P_g = sum_j q_j * _row(j, a, b)``, and the
+    sum is ``sum_g G1^g * P_g(k)``, with k substituted once per P_g."""
+    groups: dict = {}
     for j, coefficient in enumerate(p.coefficients):
-        total = total + coefficient * _power_sum(j, powers)
+        for q, g in coefficient.terms:
+            groups.setdefault(g, []).append((q, _row(j, a, b)))
+    total = ZERO
+    for g, pairs in groups.items():
+        denominator, numerators = _combined(pairs, len(p.coefficients) + 1)
+        value = core.polynomial_at(numerators, k, denominator)
+        total = total + (core.multiply(core.monomial(1, g), value) if g.terms else value)
     return total
 
 
@@ -128,16 +161,10 @@ def sum_alternating_polynomial(p: PolynomialSummand, k: GrossNumber) -> GrossNum
     a half-scale count, so the item count k must have a parity.
     """
     k = as_gross(k)
-    par = core.parity(k)
-    if par is Parity.EVEN:
-        positives = scalar_mul(Fraction(1, 2), k)
-        negatives = positives
-    else:
-        positives = scalar_mul(Fraction(1, 2), k + 1)
-        negatives = scalar_mul(Fraction(1, 2), k - 1)
-    odd_part = sum_polynomial(p.compose_affine(Fraction(2), Fraction(-1)), positives)
-    even_part = sum_polynomial(p.compose_affine(Fraction(2), Fraction(0)), negatives)
-    return odd_part - even_part
+    odd = 0 if core.parity(k) is Parity.EVEN else 1
+    positives = scalar_mul(Fraction(1, 2), k + odd)
+    negatives = scalar_mul(Fraction(1, 2), k - odd)
+    return _summed(p, positives, 2, -1) - _summed(p, negatives, 2, 0)
 
 
 def sum_finite_generic(
@@ -266,7 +293,10 @@ def _chain_coefficients(expr: Binary, var: str, env: Env) -> list[GrossNumber]:
 
 
 def _poly_product(left: list[GrossNumber], right: list[GrossNumber]) -> list[GrossNumber]:
-    out = [ZERO] * (len(left) + len(right) - 1)
+    degree = len(left) + len(right) - 2
+    if degree > MAX_SUMMAND_DEGREE:
+        raise LimitExceeded(f"a polynomial summand has degree at most {MAX_SUMMAND_DEGREE}, not {degree}")
+    out = [ZERO] * (degree + 1)
     for a, ca in enumerate(left):
         for b, cb in enumerate(right):
             out[a + b] = out[a + b] + ca * cb

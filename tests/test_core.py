@@ -41,6 +41,7 @@ from grossone.core import (
     negate,
     normalize,
     parity,
+    polynomial_at,
     power_gross,
     power_int,
     reciprocal,
@@ -655,6 +656,45 @@ def test_one_inner_exponent_base_takes_the_dense_lane():
     assert len(codec[0]) == 1
     assert core._dense_power(core._scaled(xs)[1], 7) is not None
     assert power_int(x, 7) == reduce(multiply, [x] * 7) == reduce(reference_multiply, [x] * 7)
+
+
+# ------------------------------------------------------------ polynomial_at
+
+
+def horner(coefficients, k, denominator=1):
+    """Horner's rule on gross-numbers, through add and multiply."""
+    value = ZERO
+    for c in reversed(coefficients):
+        value = add(multiply(value, k), from_rational(c))
+    return scalar_mul(Fraction(1, denominator), value)
+
+
+# some lists end in zeros, which do not raise the degree
+coefficient_lists = st.builds(
+    lambda cs, zeros: cs + [Fraction(0)] * zeros,
+    st.lists(small_rationals, max_size=6),
+    st.integers(0, 2),
+)
+
+
+@given(coefficient_lists, st.one_of(gross_numbers(), packed_numbers), st.integers(1, 12))
+def test_polynomial_at_matches_horner(coefficients, k, denominator):
+    assert polynomial_at(coefficients, k, denominator) == horner(coefficients, k, denominator)
+
+
+@pytest.mark.parametrize("k", [
+    ZERO,
+    from_int(-3),
+    G1,
+    2 * G1 - 1,
+    monomial(2, G1) + monomial(Fraction(1, 3), Fraction(1, 2)) - G1_INV,
+], ids=["zero", "finite", "G1", "2G1-1", "nested"])
+@pytest.mark.parametrize("coefficients", [
+    [], [0, 0], [Fraction(5, 2)], [Fraction(5, 2), 0, 0], [1, -2, 0, 3], [0, Fraction(1, 2), Fraction(-1, 3), 0],
+], ids=["empty", "zeros", "constant", "constant-trailing-zeros", "integers", "fractions-trailing-zero"])
+def test_polynomial_at_edge_cases(coefficients, k):
+    assert polynomial_at(coefficients, k) == horner(coefficients, k)
+    assert polynomial_at(coefficients, k, 6) == horner(coefficients, k, 6)
 
 
 @pytest.mark.parametrize("x", [

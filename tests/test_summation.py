@@ -8,16 +8,21 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from grossone.cli import main
 from grossone.core import (
     GROSSONE,
     ONE,
+    Parity,
     ZERO,
     as_rational,
     from_int,
     monomial,
+    normalize,
+    parity,
     power_int,
     scalar_mul,
 )
+from grossone import summation
 from grossone.errors import LimitExceeded, ParityUndefined, UnsupportedSummand
 from grossone.numio import parse_expression
 from grossone.summation import (
@@ -31,6 +36,8 @@ from grossone.summation import (
     sum_polynomial,
     summand_polynomial,
 )
+
+from support import gross_numbers
 
 G1 = GROSSONE
 HALF_G1 = scalar_mul(Fraction(1, 2), G1)
@@ -63,6 +70,26 @@ def test_bernoulli_recurrence_oracle():
 def test_bernoulli_rejects_negative():
     with pytest.raises(ValueError):
         bernoulli(-1)
+
+
+def test_bernoulli_extends_its_triangle_instead_of_rebuilding_it(monkeypatch):
+    # Each triangle row starts from one new Fraction(1, m + 1); asking for
+    # B_0 .. B_39 in ascending order must make each row once, not rebuild
+    # the triangle for every new n.
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(summation, "_bernoulli_row", [])
+    monkeypatch.setattr(summation, "_bernoulli_values", [])
+    monkeypatch.setattr(summation, "Fraction", counted)
+    values = [bernoulli(n) for n in range(40)]
+    assert made == [(1, m + 1) for m in range(40)]
+    assert values[:5] == [1, Fraction(1, 2), Fraction(1, 6), 0, Fraction(-1, 30)]
+    assert values[30] == Fraction(8615841276005, 14322)
+    assert bernoulli(12) == Fraction(-691, 2730) and len(made) == 40
 
 
 # -------------------------------------------------------------- faulhaber
@@ -150,6 +177,47 @@ def test_alternating_matches_brute_force():
             assert as_rational(sum_alternating_polynomial(p, from_int(k))) == running
 
 
+# --------------------------------------- count-free identities at gross counts
+
+
+def value_at(p, k):
+    """p(k) by Horner's rule on gross-numbers."""
+    value = ZERO
+    for c in reversed(p.coefficients):
+        value = value * k + c
+    return value
+
+
+def integer_like(x, n):
+    """A count with a parity: the terms of x with a positive grosspower, plus n."""
+    return normalize([t for t in x.terms if t.exponent > 0]) + n
+
+
+summands = st.lists(gross_numbers(2, 3), max_size=4).map(PolynomialSummand.from_coefficients)
+
+
+@given(summands, gross_numbers(2, 3))
+def test_sum_differences_are_the_last_item(p, k):
+    assert sum_polynomial(p, k) - sum_polynomial(p, k - 1) == value_at(p, k)
+
+
+@given(summands, gross_numbers(2, 3), st.integers(-3, 3))
+def test_alternating_differences_are_the_signed_last_item(p, x, n):
+    k = integer_like(x, n)
+    item = value_at(p, k)
+    last = item if parity(k) is Parity.ODD else -item
+    assert sum_alternating_polynomial(p, k) - sum_alternating_polynomial(p, k - 1) == last
+
+
+def test_sum_differences_at_infinite_counts():
+    p = PolynomialSummand.from_coefficients([G1 - 1, monomial(3, G1), 0, monomial(Fraction(1, 2), -1)])
+    for k in (G1, 2 * G1 - 1, monomial(1, G1) + 3 * G1 + 1, monomial(2, HALF_G1) - 7):
+        assert sum_polynomial(p, k) - sum_polynomial(p, k - 1) == value_at(p, k)
+        sign = 1 if parity(k) is Parity.ODD else -1
+        difference = sum_alternating_polynomial(p, k) - sum_alternating_polynomial(p, k - 1)
+        assert difference == sign * value_at(p, k)
+
+
 # ----------------------------------------------------------- brute force op
 
 
@@ -202,6 +270,22 @@ def test_geometric_summands_are_rejected():
         summand_polynomial(parse_expression("1 / i"), "i")
     with pytest.raises(UnsupportedSummand):
         summand_polynomial(parse_expression("f(i)"), "i")
+
+
+def test_summand_degree_is_capped(monkeypatch):
+    monkeypatch.setattr(summation, "MAX_SUMMAND_DEGREE", 3)
+    assert len(summand_polynomial(parse_expression("(i + 1)^3 - i*i*i"), "i").coefficients) == 3
+    for text in ("i^4", "(i^2)^2", "i*i*i*i", "(i + G1)^2 * (i - 1)^2", "(i - i + 1)^100000"):
+        with pytest.raises(LimitExceeded, match="a polynomial summand has degree at most 3, not 4"):
+            summand_polynomial(parse_expression(text), "i")
+
+
+def test_sum_with_a_summand_above_the_degree_cap_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(summation, "MAX_SUMMAND_DEGREE", 3)
+    assert main(["sum", "--summand", "i^3", "--upper", "G1"]) == 0
+    assert main(["sum", "--summand", "i^4", "--upper", "2*G1-1", "--alternating"]) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("0.25*G1^{4} + 0.5*G1^{3} + 0.25*G1^{2}\n", "error: a polynomial summand has degree at most 3, not 4\n")
 
 
 @given(st.lists(st.integers(-4, 4), min_size=1, max_size=4), st.integers(0, 30))
