@@ -17,11 +17,13 @@ its leading coefficient is.
 Inside ``multiply``, ``divide``, ``power_int`` and ``polynomial_at``
 grosspowers and grossdigits run as integers: ``_keyed`` packs each
 grosspower into one integer key, whose sum and order are those of the
-grosspowers, and ``_scaled`` puts an operand's grossdigits over one common
-denominator.  So their loops do only integer arithmetic, and ``_from_keyed``
-builds one Fraction per result term.  ``polynomial_at``, which substitutes a
-gross-number into the rational polynomials of ``summation``'s closed forms,
-packs it once and runs Horner's rule on the packed pairs.  When
+grosspowers, and hands each operand back over its own integer scale.  So
+their loops do only integer arithmetic, and ``_from_keyed`` builds one
+Fraction per result term.  Long division keeps its remainder as a dict
+from key to integer; a one-term divisor is a shift through ``multiply``,
+exact whatever the dividend's length.  ``polynomial_at``, which substitutes
+a gross-number into the rational polynomials of ``summation``'s closed
+forms, packs it once and runs Horner's rule on the packed pairs.  When
 every grosspower is finite, a result term takes its grosspower from
 ``_decoded``, a bounded table shared across calls, so the same few finite
 grosspowers are made once and shared by every value that has them.
@@ -360,10 +362,10 @@ def multiply(x: GrossNumber, y: GrossNumber) -> GrossNumber:
     fixed grosspower keeps the other operand's exponents strictly
     decreasing (the exponents form an ordered group), so its terms, scaled
     and shifted, are already canonical and need no merge or sort.
-    Otherwise both operands are packed by ``_keyed``, where a grosspower
-    is one integer and adding two is ``+``, and ``_convolve`` multiplies
-    their integer coefficients from ``_scaled``.  Each nonzero sum becomes
-    one Fraction over the product of the two scales.
+    Otherwise ``_keyed`` packs both operands, each grosspower one integer
+    (adding two is ``+``) and each coefficient an integer over its
+    operand's scale, and ``_convolve`` multiplies them.  Each nonzero sum
+    becomes one Fraction over the product of the two scales.
     """
     if not x.terms or not y.terms:
         return ZERO
@@ -372,9 +374,7 @@ def multiply(x: GrossNumber, y: GrossNumber) -> GrossNumber:
     if len(y.terms) == 1:
         cy, py = y.terms[0]
         return GrossNumber(tuple(GrossTerm(cx * cy, add(px, py)) for cx, px in x.terms))
-    codec, xs, ys = _keyed(x, y)
-    dx, xs = _scaled(xs)
-    dy, ys = _scaled(ys)
+    codec, (dx, xs), (dy, ys) = _keyed(x, y)
     return _from_keyed(codec, [(k, Fraction(c, dx * dy)) for k, c in _convolve(xs, ys)])
 
 
@@ -391,9 +391,11 @@ def _convolve(xs: list, ys: list, constant: int = 0) -> list:
 
 
 def _keyed(x: GrossNumber, y: GrossNumber, x_reach: int = 1, y_reach: int = 1):
-    """Both operands packed: ``(codec, xs, ys)``; ``xs`` and ``ys`` list each
-    operand's terms as ``(key, coefficient)``, keys strictly decreasing, and
-    ``codec`` is what ``_from_keyed`` needs to unpack them.
+    """Both operands packed: ``(codec, (dx, xs), (dy, ys))``.  ``xs`` and
+    ``ys`` list each operand's terms as ``(key, int)``, keys strictly
+    decreasing, each int the coefficient times the operand's own scale dx
+    or dy, the lcm of its coefficients' denominators.  ``codec`` is what
+    ``_from_keyed`` needs to unpack keys.
 
     A grosspower ``sum c_j*G1^{e_j}`` is a vector of digits over its inner
     exponents, and dominance order compares such vectors lexicographically,
@@ -424,21 +426,17 @@ def _keyed(x: GrossNumber, y: GrossNumber, x_reach: int = 1, y_reach: int = 1):
     mx, my = (max([abs(d) for v in part for d, _ in v], default=0) for part in (digits[:split], digits[split:]))
     radix = 2 * (x_reach * mx + y_reach * my) + 1
     places = [radix**i for i in range(len(basis) - 1, -1, -1)]
-    keyed = []
-    for v, (c, _) in zip(digits, terms):
-        key = 0
-        for d, i in v:
-            key += d * places[i]
-        keyed.append((key, c))
-    return (basis, scale, places), keyed[:split], keyed[split:]
-
-
-def _scaled(pairs: list) -> tuple[int, list]:
-    """``(scale, [(key, int)])`` for ``(key, Fraction)`` pairs: scale is the
-    lcm of the coefficient denominators, and each int is its coefficient
-    times scale."""
-    scale = lcm(*[c.denominator for _, c in pairs])
-    return scale, [(k, c.numerator * (scale // c.denominator)) for k, c in pairs]
+    packed = []
+    for part, vs in ((terms[:split], digits[:split]), (terms[split:], digits[split:])):
+        s = lcm(*[c.denominator for c, _ in part])
+        pairs = []
+        for v, (c, _) in zip(vs, part):
+            key = 0
+            for d, i in v:
+                key += d * places[i]
+            pairs.append((key, c.numerator * (s // c.denominator)))
+        packed.append((s, pairs))
+    return (basis, scale, places), packed[0], packed[1]
 
 
 def _decreasing(merged: dict) -> list:
@@ -526,8 +524,7 @@ def power_int(x: GrossNumber, n: int) -> GrossNumber:
         raise NegativePowerOfNonMonomial(
             "negative powers need a single-term number; use division instead"
         )
-    codec, xs, _ = _keyed(x, ZERO, n)
-    scale, xs = _scaled(xs)
+    codec, (scale, xs), _ = _keyed(x, ZERO, n)
     scale **= n
     keyed = _dense_power(xs, n) if len(codec[0]) == 1 else None
     if keyed is None:
@@ -601,8 +598,7 @@ def polynomial_at(coefficients: Sequence[RationalLike], k: GrossNumber, denomina
     degree = len(cs) - 1
     if degree < 1 or not k.terms:
         return from_rational(Fraction(cs[0]) / denominator) if cs else ZERO
-    codec, ks, _ = _keyed(k, ZERO, degree)
-    s, ks = _scaled(ks)
+    codec, (s, ks), _ = _keyed(k, ZERO, degree)
     common = lcm(*[c.denominator for c in cs])
     ints = [c.numerator * (common // c.denominator) for c in cs]
     keyed, shift = [(0, ints[-1])], 1
@@ -673,19 +669,20 @@ def divide(x: GrossNumber, y: GrossNumber, max_terms: int = DEFAULT_DIV_TERMS) -
     whose quotient would need more than ``MAX_DIV_TERMS`` terms raises
     LimitExceeded once it has emitted that many, and any other finishes.
 
-    A single-term divisor is a monomial shift, as in ``multiply``: the
-    quotient is the first ``max_terms`` terms of x divided by it and the
+    A single-term divisor is a monomial shift: the quotient is the first
+    ``max_terms`` terms of x times ``y^-1``, through ``multiply``, and the
     remainder is the rest of x.  Otherwise one loop runs on the integer
-    keys of ``_keyed``, packed for the steps it may take, and does
-    fraction-free (pseudo-)division on the integer coefficients of
-    ``_scaled`` (Knuth, TAOCP vol. 2, 4.6.1).  The remainder is a list of
-    integers ``R`` over one running denominator ``d``, and the divisor's
-    integer lead is ``a0``.  A step with leading remainder coefficient
-    ``c`` and ``g = gcd(c, a0)`` emits one Fraction for its quotient term,
-    drops the leading term (it cancels exactly), and sets
-    ``R = (a0/g)*R[1:] - (c/g)*tail`` and ``d = d*a0/g``, where ``tail`` is
-    the divisor's tail shifted by the step.  The remainder becomes Fractions
-    once, at the end.
+    keys and coefficients of ``_keyed``, packed for the steps it may take,
+    and does fraction-free (pseudo-)division (Knuth, TAOCP vol. 2, 4.6.1).
+    The remainder is a dict ``R`` of integers by key over one running
+    denominator ``d``, and the divisor's integer lead is ``a0``.  A step
+    pops the leading key, ``max(R)``, with its coefficient ``c``; with
+    ``g = gcd(c, a0)`` it emits one Fraction for its quotient term, sets
+    ``R = (a0/g)*R - (c/g)*tail`` and ``d = d*a0/g``, where ``tail`` is the
+    divisor's tail shifted by the step, and deletes each key that cancels
+    to 0.  So a step touches only the tail's keys, plus every key when
+    ``a0/g`` is not 1.  The remainder is sorted and becomes Fractions once,
+    at the end.
     """
     if not y.terms:
         raise DivisionByZero("division by zero")
@@ -695,58 +692,39 @@ def divide(x: GrossNumber, y: GrossNumber, max_terms: int = DEFAULT_DIV_TERMS) -
     if len(y.terms) == 1:
         if steps < max_terms and len(x.terms) > steps:
             raise _over_cap(max_terms)
-        cy, py = y.terms[0]
-        inverse, shift = 1 / cy, negate(py)
-        head = x.terms[:steps]
         return DivResult(
-            GrossNumber(tuple(GrossTerm(cx * inverse, add(px, shift)) for cx, px in head)),
+            multiply(GrossNumber(x.terms[:steps]), power_int(y, -1)),
             GrossNumber(x.terms[steps:]),
             exact=len(x.terms) <= steps,
-            terms_emitted=len(head),
+            terms_emitted=min(len(x.terms), steps),
         )
-    codec, xs, ys = _keyed(x, y, 1, 2 * steps)
-    delta, remainder = _scaled(xs)
-    dy, ys = _scaled(ys)
+    codec, (delta, xs), (dy, ys) = _keyed(x, y, 1, 2 * steps)
     lead_key, a0 = ys[0]
     tail = ys[1:]
+    remainder = dict(xs)
     quotient = []
     while remainder and len(quotient) < steps:
-        key, c = remainder[0]
+        key = max(remainder)
+        c = remainder.pop(key)
         shift = key - lead_key
         quotient.append((shift, Fraction(c * dy, delta * a0)))
         g = gcd(c, a0)
         s, t = a0 // g, c // g
         if s != 1:
-            remainder = [(k, s * r) for k, r in remainder]
+            remainder = {k: s * r for k, r in remainder.items()}
             delta *= s
-        # merge remainder[1:] with -t * G1^shift * tail, keys decreasing
-        shifted = [(k + shift, -t * a) for k, a in tail]
-        merged = []
-        i, j = 1, 0
-        n, m = len(remainder), len(shifted)
-        while i < n and j < m:
-            ka, ca = remainder[i]
-            kb, cb = shifted[j]
-            if ka > kb:
-                merged.append(remainder[i])
-                i += 1
-            elif ka < kb:
-                merged.append(shifted[j])
-                j += 1
+        for k, a in tail:
+            k += shift
+            r = remainder.get(k, 0) - t * a
+            if r:
+                remainder[k] = r
             else:
-                r = ca + cb
-                if r:
-                    merged.append((ka, r))
-                i += 1
-                j += 1
-        merged.extend(remainder[i:])
-        merged.extend(shifted[j:])
-        remainder = merged
+                del remainder[k]  # t*a is not 0, so k was there
     if remainder and steps < max_terms:
         raise _over_cap(max_terms)
     return DivResult(
         _from_keyed(codec, quotient),
-        _from_keyed(codec, [(k, Fraction(r, delta)) for k, r in remainder]),
+        _from_keyed(codec, [(k, Fraction(r, delta)) for k, r in _decreasing(remainder)]),
         exact=not remainder,
         terms_emitted=len(quotient),
     )
@@ -757,6 +735,12 @@ def _over_cap(max_terms: int) -> LimitExceeded:
 
 
 def exact_divide(x: GrossNumber, y: GrossNumber, max_terms: int = DEFAULT_DIV_TERMS) -> GrossNumber:
+    """x / y, or InexactDivision when ``divide`` leaves a remainder within
+    ``max_terms`` quotient terms.  A single-term divisor always divides
+    exactly, whatever the length of x: the quotient is x times ``y^-1``,
+    through ``multiply``, with no budget."""
+    if len(y.terms) == 1:
+        return multiply(x, power_int(y, -1))
     result = divide(x, y, max_terms)
     if not result.exact:
         raise InexactDivision(

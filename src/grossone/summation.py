@@ -24,7 +24,7 @@ from typing import Iterable, Tuple, Union
 
 from . import core
 from .core import GrossNumber, ONE, Parity, ZERO, as_gross, from_int, scalar_mul
-from .errors import LimitExceeded, UnsupportedSummand
+from .errors import EvalError, LimitExceeded, ParityUndefined, UnsupportedSummand
 from .evaluator import Env, evaluate
 from .numio import Ast, Binary, Call, Compare, Unary, Var, operator_chain
 
@@ -205,16 +205,26 @@ def sum_expression(
 ) -> GrossNumber:
     """Sum of the summand ``expr`` for ``var`` = 1..k.
 
-    A summand polynomial in ``var`` is summed in closed form for any count;
-    any other summand is iterated when k is a finite non-negative integer
-    and raises UnsupportedSummand otherwise.
+    The count k arrives from outside and must be a non-negative integer,
+    such as 3, G1 or G1/2: the closed forms are identities for any k, and
+    would sum -1 or 1/2 items without a word.  A negative k raises
+    EvalError and one without a parity ParityUndefined, each naming k.  A
+    summand polynomial in ``var`` is summed in closed form for any count;
+    any other summand is iterated when k is finite and raises
+    UnsupportedSummand otherwise.
     """
+    if core.sign(k) < 0:
+        raise EvalError(f"an item count is a non-negative integer, not {core._shown(k)}")
+    try:
+        core.parity(k)
+    except ParityUndefined as exc:
+        raise ParityUndefined(f"an item count is a non-negative integer, but {exc}") from None
     env = env or Env()
     try:
         poly = summand_polynomial(expr, var, env)
     except UnsupportedSummand:
         count = core.as_int(k)
-        if count is None or count < 0:
+        if count is None:
             raise
         return sum_finite_generic(expr, count, env, var=var, alternating=alternating)
     if alternating:

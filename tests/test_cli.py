@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from grossone.cli import main
-from grossone.core import MAX_DIV_TERMS, ONE, ZERO, divide
+from grossone.core import GROSSONE, MAX_DIV_TERMS, ONE, ZERO, divide, power_int
 from grossone.evaluator import Env
 from grossone.numio import parse_expression, parse_number
 from grossone.summation import sum_finite_generic
@@ -66,6 +66,15 @@ def test_eval_inexact_division_needs_flag(capsys):
     assert "remainder" in err
     code, out, _ = run(capsys, "eval", "--div-truncate", "3", "1 / (1 + G1^{-1})")
     assert (code, out) == (0, "1 - G1^{-1} + G1^{-2}\n")
+
+
+def test_eval_one_term_divisor_divides_exactly(capsys):
+    for text, n, divisor in (("(G1+1)^20 / (2*G1)", 20, 2 * GROSSONE), ("(G1+1)^25 / G1", 25, GROSSONE)):
+        code, out, err = run(capsys, "eval", text)
+        assert (code, err) == (0, "")
+        assert parse_number(out.strip()) * divisor == power_int(GROSSONE + 1, n)
+    code, out, _ = run(capsys, "eval", "--div-truncate", "3", "(G1+1)^25 / G1")
+    assert (code, out) == (0, "G1^{24} + 25*G1^{23} + 300*G1^{22}\n")
 
 
 def test_eval_division_budget_above_the_cap_is_a_limit_error(capsys):
@@ -232,6 +241,19 @@ def test_sum_alternating_needs_parity(capsys):
     code, _, err = run(capsys, "sum", "--summand", "i", "--alternating", "--upper", "G1 + G1^{-1}")
     assert code == 3
     assert "infinitesimal" in err
+
+
+@pytest.mark.parametrize("alternating", [[], ["--alternating"]], ids=["plain", "alternating"])
+@pytest.mark.parametrize("summand", ["i^2", "2^i"], ids=["closed-form", "term-by-term"])
+@pytest.mark.parametrize("count", ["-1", "-G1", "1/2", "G1^{-1}", "1/2*G1 + 1/2", "0"])
+def test_sum_count_is_a_non_negative_integer(capsys, count, summand, alternating):
+    code, out, err = run(capsys, "sum", "--summand", summand, *alternating, f"--upper={count}")
+    if count == "0":
+        assert (code, out, err) == (0, "0\n", "")
+    else:
+        assert (code, out) == (3, "")
+        assert err.startswith("error: an item count is a non-negative integer")
+        assert str(parse_number(count)) in err
 
 
 def test_sum_parse_error(capsys):

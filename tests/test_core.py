@@ -487,6 +487,18 @@ def test_divide_finite_exponents_fixed_cases():
     x = power_int(G1 + monomial(1, Fraction(1, 13)), 3)
     result = divide(x, G1 + monomial(1, Fraction(1, 13)), 20)
     assert result == DivResult(power_int(G1 + monomial(1, Fraction(1, 13)), 2), ZERO, True, 3)
+    # the first step's shifted divisor tail cancels the remainder's G1 term to 0
+    x = monomial(1, Fraction(3, 2)) + G1 + monomial(7, Fraction(-1, 3))
+    for budget in (1, 5, 20):
+        assert divide(x, monomial(1, Fraction(1, 2)) + 1, budget) == reference_divide(
+            x, monomial(1, Fraction(1, 2)) + 1, budget
+        )
+    # the integer lead 3 divides no remainder lead, so every step rescales
+    divisor = 3 + monomial(2, Fraction(-1, 2))
+    for budget in (1, 5, 20):
+        result = divide(G1 + 1, divisor, budget)
+        assert result == reference_divide(G1 + 1, divisor, budget)
+        assert [t.coefficient.denominator for t in result.quotient.terms] == [3**i for i in range(1, budget + 1)]
 
 
 @given(finite_exponent_numbers, gross_numbers().filter(bool), st.sampled_from([1, 5, 20]))
@@ -575,6 +587,19 @@ def test_single_term_divisor_splits_the_dividend():
             assert result.quotient * y + result.remainder == x
 
 
+def test_single_term_divisor_always_divides_exactly():
+    x = power_int(G1 + 1, 25)
+    assert len(x.terms) == 26 > core.DEFAULT_DIV_TERMS
+    for y in (G1, 2 * G1, monomial(Fraction(-3, 7), G1 - Fraction(1, 2))):
+        quotient = exact_divide(x, y)
+        assert quotient == reference_divide(x, y, 26).quotient
+        assert quotient * y == x
+        assert x / y == exact_divide(x, y, 1) == quotient
+    assert exact_divide(ZERO, G1) == ZERO
+    # a budget still truncates divide itself
+    assert divide(x, G1, 3) == reference_divide(x, G1, 3)
+
+
 # ------------------------------------------------- power_int dense lane
 
 # Bases of 2 to 4 terms with distinct rational grosspowers (denominators
@@ -607,8 +632,8 @@ def test_dense_power_binomial_coefficients():
 
 def test_wide_span_power_takes_squaring():
     x = 1 + G1_INV + monomial(1, -1000000)
-    _, xs, _ = core._keyed(x, ZERO, 3)
-    assert core._dense_power(core._scaled(xs)[1], 3) is None
+    _, (_, xs), _ = core._keyed(x, ZERO, 3)
+    assert core._dense_power(xs, 3) is None
     assert power_int(x, 3) == reference_multiply(reference_multiply(x, x), x)
 
 
@@ -652,9 +677,9 @@ def test_packed_keys_power_matches_repeated_multiply(x, n):
 
 def test_one_inner_exponent_base_takes_the_dense_lane():
     x = monomial(1, 2 * G1) + monomial(3, G1) + 1
-    codec, xs, _ = core._keyed(x, ZERO, 7)
+    codec, (_, xs), _ = core._keyed(x, ZERO, 7)
     assert len(codec[0]) == 1
-    assert core._dense_power(core._scaled(xs)[1], 7) is not None
+    assert core._dense_power(xs, 7) is not None
     assert power_int(x, 7) == reduce(multiply, [x] * 7) == reduce(reference_multiply, [x] * 7)
 
 

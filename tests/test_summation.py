@@ -23,7 +23,7 @@ from grossone.core import (
     scalar_mul,
 )
 from grossone import summation
-from grossone.errors import LimitExceeded, ParityUndefined, UnsupportedSummand
+from grossone.errors import EvalError, LimitExceeded, ParityUndefined, UnsupportedSummand
 from grossone.numio import parse_expression
 from grossone.summation import (
     MAX_SUM_ITEMS,
@@ -158,6 +158,18 @@ def test_alternating_unit_counts():
 def test_alternating_unit_needs_parity():
     with pytest.raises(ParityUndefined):
         sum_alternating_unit(G1 + monomial(1, -1))
+
+
+def test_sum_expression_refuses_a_count_that_is_not_a_non_negative_integer():
+    # sum_polynomial itself stays an identity for any count
+    assert sum_polynomial(IDENTITY, from_int(-1)) == ZERO
+    summand = parse_expression("i")
+    with pytest.raises(EvalError, match="not -1"):
+        summation.sum_expression(summand, from_int(-1))
+    for count in (ONE / 2, monomial(1, -1), HALF_G1 + Fraction(1, 2)):
+        with pytest.raises(ParityUndefined, match="an item count is a non-negative integer"):
+            summation.sum_expression(summand, count)
+    assert summation.sum_expression(summand, HALF_G1) == sum_polynomial(IDENTITY, HALF_G1)
 
 
 def test_alternating_identity_sums():
