@@ -13,7 +13,7 @@ from typing import Optional
 
 from .errors import GrossoneError, ParseError
 from .evaluator import Env, evaluate_value, exec_statement, render
-from .numio import parse_expression, parse_number, parse_statement
+from .numio import lex, parse_expression, parse_number, parse_statement
 from .setcalc import EventClass, ProbabilityModel, classify_event, event_extent
 from .summation import sum_expression
 
@@ -30,6 +30,17 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError("must be at least 1")
     return value
+
+
+def _name(text: str) -> str:
+    # a keyword such as G1 or let can never be the index variable
+    try:
+        tokens = lex(text)
+    except ParseError:
+        tokens = []
+    if len(tokens) != 2 or tokens[0].kind != "name":
+        raise argparse.ArgumentTypeError("expected a name, not a keyword, number or expression")
+    return tokens[0].lexeme
 
 
 def _format_option(text: str) -> Optional[int]:
@@ -72,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sum", parents=[common], help="closed-form sum with an explicit item count"
     )
     p_sum.add_argument("--summand", required=True, help="expression in the index variable")
-    p_sum.add_argument("--var", default="i", help="index variable name (default i)")
+    p_sum.add_argument("--var", type=_name, default="i", help="index variable name (default i)")
     p_sum.add_argument("--upper", required=True, help="item count, a gross-number literal")
     p_sum.add_argument(
         "--alternating",

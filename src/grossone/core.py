@@ -21,9 +21,9 @@ grosspowers, and hands each operand back over its own integer scale.  So
 their loops do only integer arithmetic, and ``_from_keyed`` builds one
 Fraction per result term.  Long division keeps its remainder as a dict
 from key to integer; a one-term divisor is a shift through ``multiply``,
-exact whatever the dividend's length.  ``polynomial_at``, which substitutes
-a gross-number into the rational polynomials of ``summation``'s closed
-forms, packs it once and runs Horner's rule on the packed pairs.  When
+exact whatever the dividend's length.  ``polynomial_at`` substitutes the
+count of one of ``summation``'s closed forms into all of its integer rows
+at once: one packing, one Horner pass, one ``_from_keyed``.  When
 every grosspower is finite, a result term takes its grosspower from
 ``_decoded``, a bounded table shared across calls, so the same few finite
 grosspowers are made once and shared by every value that has them.
@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from math import comb, gcd, lcm
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence, Tuple, Union
+from typing import Iterable, NamedTuple, Tuple, Union
 
 from .errors import (
     DivisionByZero,
@@ -375,19 +375,18 @@ def multiply(x: GrossNumber, y: GrossNumber) -> GrossNumber:
         cy, py = y.terms[0]
         return GrossNumber(tuple(GrossTerm(cx * cy, add(px, py)) for cx, px in x.terms))
     codec, (dx, xs), (dy, ys) = _keyed(x, y)
-    return _from_keyed(codec, [(k, Fraction(c, dx * dy)) for k, c in _convolve(xs, ys)])
+    return _from_keyed(codec, [(k, Fraction(c, dx * dy)) for k, c in _decreasing(_convolve(xs, ys, {}))])
 
 
-def _convolve(xs: list, ys: list, constant: int = 0) -> list:
-    """The ``(key, int)`` pairs of the product of two lists of them, plus
-    ``constant`` at key 0: keys add, coefficients multiply, like keys merge;
-    nonzero, keys decreasing."""
-    products: dict = {0: constant} if constant else {}
+def _convolve(xs: Iterable, ys: list, products: dict) -> dict:
+    """``products``, a ``{key: int}`` dict, with the product of two lists of
+    ``(key, int)`` pairs added in: keys add, coefficients multiply, like
+    keys merge.  ``_decreasing`` orders it once the caller is done."""
     for kx, cx in xs:
         for ky, cy in ys:
             key = kx + ky
             products[key] = products.get(key, 0) + cx * cy
-    return _decreasing(products)
+    return products
 
 
 def _keyed(x: GrossNumber, y: GrossNumber, x_reach: int = 1, y_reach: int = 1):
@@ -531,9 +530,9 @@ def power_int(x: GrossNumber, n: int) -> GrossNumber:
         keyed, base = [(0, 1)], xs
         while n:
             if n & 1:
-                keyed = _convolve(keyed, base)
+                keyed = _decreasing(_convolve(keyed, base, {}))
             if n > 1:
-                base = _convolve(base, base)
+                base = _decreasing(_convolve(base, base, {}))
             n >>= 1
     return _from_keyed(codec, [(k, Fraction(c, scale)) for k, c in keyed])
 
@@ -580,33 +579,33 @@ def _dense_power(xs: list, n: int) -> list | None:
     return [(n * top - k * g, c) for k, c in enumerate(b) if c]
 
 
-def polynomial_at(coefficients: Sequence[RationalLike], k: GrossNumber, denominator: int = 1) -> GrossNumber:
-    """``(c_0 + c_1*k + ... + c_d*k^d) / denominator`` for rational c_e.
+def polynomial_at(rows: dict, k: GrossNumber) -> GrossNumber:
+    """``sum_g G1^g * (n_0 + n_1*k + ... + n_d*k^d) / D`` over the integer
+    rows ``{g: (D, (n_0, ..., n_d))}``, all of one length, that ``summation``
+    builds for its closed forms.
 
-    k is packed once, as ``power_int(k, d)`` packs it, to integer pairs over
-    a scale s.  With L the lcm of the c_e's denominators and ``C_e = c_e*L``,
-    the value is ``sum C_e*s^(d-e)*(s*k)^e / (L*s^d*denominator)``: Horner's
-    rule (Knuth, TAOCP vol. 2, 4.6.4) on the pairs of s*k, each step adding
-    ``C_e*s^(d-e)`` at key 0, and one ``_from_keyed`` at the end.
+    ``_keyed`` packs k once to pairs over a scale s, with digits reaching d
+    times its own, against one unit term per g.  With L the lcm of the D's,
+    column e holds ``n_e*(L/D)*s^(d-e)`` at each g's key.  Horner's rule
+    (Knuth, TAOCP vol. 2, 4.6.4) on the pairs of s*k adds one column per
+    step, so the groups shift and merge on integer keys, and the keys are
+    sorted and unpacked once, over ``L*s^d``.
 
-    >>> polynomial_at([0, 1, 1], GROSSONE, 2)
-    0.5*G1^{2} + 0.5*G1
+    >>> polynomial_at({ZERO: (2, (0, 1, 1)), ONE: (1, (1, 0, 0))}, GROSSONE)
+    0.5*G1^{2} + 1.5*G1
     """
-    cs = list(coefficients)
-    while cs and not cs[-1]:
-        cs.pop()
-    degree = len(cs) - 1
-    if degree < 1 or not k.terms:
-        return from_rational(Fraction(cs[0]) / denominator) if cs else ZERO
-    codec, (s, ks), _ = _keyed(k, ZERO, degree)
-    common = lcm(*[c.denominator for c in cs])
-    ints = [c.numerator * (common // c.denominator) for c in cs]
-    keyed, shift = [(0, ints[-1])], 1
-    for c in reversed(ints[:-1]):
-        shift *= s
-        keyed = _convolve(keyed, ks, c * shift)
-    scale = common * shift * denominator
-    return _from_keyed(codec, [(key, Fraction(c, scale)) for key, c in keyed])
+    if not rows:
+        return ZERO
+    degree = len(next(iter(rows.values()))[1]) - 1
+    # bare (1, g) pairs: _keyed reads no more of a term than these give
+    codec, (s, ks), (_, gs) = _keyed(k, GrossNumber(tuple([(1, g) for g in rows])), degree)
+    common = lcm(*[d for d, _ in rows.values()])
+    factors = [(key, common // d, n) for (key, _), (d, n) in zip(gs, rows.values())]
+    value, *columns = [{key: f * n[degree - i] * s**i for key, f, n in factors} for i in range(degree + 1)]
+    for column in columns:
+        value = _convolve(value.items(), ks, column)
+    scale = common * s**degree
+    return _from_keyed(codec, [(key, Fraction(c, scale)) for key, c in _decreasing(value)])
 
 
 def as_int(x: GrossNumber) -> int | None:

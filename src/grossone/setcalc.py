@@ -204,6 +204,8 @@ class ProbabilityModel:
     favorable: GrossNumber
 
     def __post_init__(self):
+        if not (is_integer_like(self.total) and is_integer_like(self.favorable)):
+            raise InvalidModel("event counts must be integer-like gross-numbers")
         if core.sign(self.total) <= 0:
             raise InvalidModel("the sample space must have a positive number of events")
         if core.sign(self.favorable) < 0:

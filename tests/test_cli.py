@@ -266,6 +266,20 @@ def test_sum_custom_variable(capsys):
     assert (code, out) == (0, "G1^{2}\n")
 
 
+@pytest.mark.parametrize("var", ["n", "_k", "N"])
+def test_sum_var_takes_any_name(capsys, var):
+    # N names the set of naturals until the index variable shadows it
+    assert run(capsys, "sum", "--summand", var, "--var", var, "--upper", "3") == (0, "6\n", "")
+
+
+@pytest.mark.parametrize("var", ["G1", "let", "1x", "i i", ""])
+def test_sum_var_must_be_a_name(capsys, var):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sum", "--summand", "G1", "--var", var, "--upper", "3"])
+    assert exit_info.value.code == 1
+    assert capsys.readouterr().out == ""
+
+
 # --------------------------------------------------------------------- prob
 
 
@@ -297,6 +311,15 @@ def test_prob_invariant_violation(capsys):
     code, _, err = run(capsys, "prob", "--total", "G1", "--favorable", "G1 + 1")
     assert code == 3
     assert "exceed" in err
+
+
+@pytest.mark.parametrize(
+    "total, favorable", [("G1", "G1^{-1}"), ("1/2", "1/4"), ("G1 + 1/2", "1"), ("G1", "1/2")]
+)
+def test_prob_counts_are_integer_like(capsys, total, favorable):
+    code, out, err = run(capsys, "prob", "--total", total, "--favorable", favorable)
+    assert (code, out) == (3, "")
+    assert "integer-like" in err
 
 
 # -------------------------------------------------------------------- usage

@@ -3,7 +3,7 @@ classification, parity."""
 
 from fractions import Fraction
 from functools import reduce
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import assume, given
@@ -694,6 +694,14 @@ def horner(coefficients, k, denominator=1):
     return scalar_mul(Fraction(1, denominator), value)
 
 
+def row(coefficients, denominator=1):
+    """``coefficients / denominator`` as ``polynomial_at``'s integer row
+    ``(D, (n_0, ..., n_d))``, zero-padded to d >= 1."""
+    common = lcm(*[Fraction(c).denominator for c in coefficients])
+    numerators = [int(c * common) for c in coefficients] + [0, 0]
+    return common * denominator, tuple(numerators[: max(len(coefficients), 2)])
+
+
 # some lists end in zeros, which do not raise the degree
 coefficient_lists = st.builds(
     lambda cs, zeros: cs + [Fraction(0)] * zeros,
@@ -704,7 +712,7 @@ coefficient_lists = st.builds(
 
 @given(coefficient_lists, st.one_of(gross_numbers(), packed_numbers), st.integers(1, 12))
 def test_polynomial_at_matches_horner(coefficients, k, denominator):
-    assert polynomial_at(coefficients, k, denominator) == horner(coefficients, k, denominator)
+    assert polynomial_at({ZERO: row(coefficients, denominator)}, k) == horner(coefficients, k, denominator)
 
 
 @pytest.mark.parametrize("k", [
@@ -718,8 +726,33 @@ def test_polynomial_at_matches_horner(coefficients, k, denominator):
     [], [0, 0], [Fraction(5, 2)], [Fraction(5, 2), 0, 0], [1, -2, 0, 3], [0, Fraction(1, 2), Fraction(-1, 3), 0],
 ], ids=["empty", "zeros", "constant", "constant-trailing-zeros", "integers", "fractions-trailing-zero"])
 def test_polynomial_at_edge_cases(coefficients, k):
-    assert polynomial_at(coefficients, k) == horner(coefficients, k)
-    assert polynomial_at(coefficients, k, 6) == horner(coefficients, k, 6)
+    assert polynomial_at({ZERO: row(coefficients)}, k) == horner(coefficients, k)
+    assert polynomial_at({ZERO: row(coefficients, 6)}, k) == horner(coefficients, k, 6)
+
+
+# Rows of one length over up to four grosspowers, finite, fractional or
+# nested, each with its own denominator.
+grouped_rows = st.integers(1, 5).flatmap(
+    lambda degree: st.dictionaries(
+        gross_numbers(2, 3),
+        st.tuples(st.integers(1, 12), st.tuples(*[st.integers(-9, 9)] * (degree + 1))),
+        max_size=4,
+    )
+)
+many_term_counts = st.sampled_from([
+    monomial(1, G1) + G1 + 1,
+    2 * G1 - 1,
+    monomial(1, G1 + 1) - monomial(3, Fraction(1, 2)) + G1 - 7,
+    monomial(Fraction(1, 2), monomial(1, G1)) + monomial(2, G1 - 1) + monomial(-1, Fraction(-2, 3)) + 5,
+])
+
+
+@given(grouped_rows, st.one_of(gross_numbers(), packed_numbers, many_term_counts))
+def test_polynomial_at_over_grosspower_groups_matches_horner(rows, k):
+    expected = ZERO
+    for g, (denominator, numerators) in rows.items():
+        expected = add(expected, multiply(monomial(1, g), horner(numerators, k, denominator)))
+    assert polynomial_at(rows, k) == expected
 
 
 @pytest.mark.parametrize("x", [

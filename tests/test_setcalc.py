@@ -324,5 +324,13 @@ def test_model_validation():
         ProbabilityModel(G1, G1 + 1)
     with pytest.raises(InvalidModel):
         ProbabilityModel(G1, from_int(-1))
+    for total, favorable in (
+        (G1, monomial(1, -1)),
+        (from_rational(Fraction(1, 2)), from_rational(Fraction(1, 4))),
+        (G1 + monomial(1, -1), ONE),
+        (from_int(3), from_rational(Fraction(3, 2))),
+    ):
+        with pytest.raises(InvalidModel):
+            ProbabilityModel(total, favorable)
     with pytest.raises(InvalidModel):
         event_extent(monomial(1, -1))

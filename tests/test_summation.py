@@ -22,7 +22,7 @@ from grossone.core import (
     power_int,
     scalar_mul,
 )
-from grossone import summation
+from grossone import core, summation
 from grossone.errors import EvalError, LimitExceeded, ParityUndefined, UnsupportedSummand
 from grossone.numio import parse_expression
 from grossone.summation import (
@@ -139,10 +139,42 @@ def test_sum_splitting_identity():
     for p in (IDENTITY, SQUARES, ODDS):
         for m in (1, 7, 40):
             for k in (G1, 2 * G1 - 1, from_int(100)):
-                shifted = p.compose_affine(Fraction(1), Fraction(m))
+                # p(t + m) = sum_j c_j * sum_r comb(j, r) * m^(j-r) * t^r
+                shifted = PolynomialSummand.from_coefficients(
+                    sum((comb(j, r) * m ** (j - r) * c for j, c in enumerate(p.coefficients[r:], r)), ZERO)
+                    for r in range(len(p.coefficients))
+                )
                 left = sum_polynomial(p, k)
                 right = sum_polynomial(p, from_int(m)) + sum_polynomial(shifted, k - m)
                 assert left == right
+
+
+# Summands whose coefficients span several grosspowers, nested ones too,
+# summed to a count of several terms.
+GROSS_SUMMANDS = ["(i+G1)^30", "(i - G1^{-1})^12*G1^{G1}", "(2*i + G1^{1/2} + G1^{G1-1})^6"]
+MANY_TERM_COUNT = monomial(1, G1) + G1 + 1
+
+
+@pytest.mark.parametrize("text", GROSS_SUMMANDS)
+def test_sum_polynomial_matches_power_sums_by_linearity(text):
+    p = summand_polynomial(parse_expression(text), "i")
+    expected = ZERO
+    for j, c in enumerate(p.coefficients):
+        expected = expected + c * faulhaber(j, MANY_TERM_COUNT)
+    assert sum_polynomial(p, MANY_TERM_COUNT) == expected
+
+
+@pytest.mark.parametrize("text", GROSS_SUMMANDS)
+def test_a_closed_form_substitutes_the_count_once(monkeypatch, text):
+    p = summand_polynomial(parse_expression(text), "i")
+    assert len({g for c in p.coefficients for _, g in c.terms}) > 1
+    calls = []
+    substitute = core.polynomial_at
+    monkeypatch.setattr(core, "polynomial_at", lambda *args: calls.append(args) or substitute(*args))
+    sum_polynomial(p, MANY_TERM_COUNT)
+    assert len(calls) == 1
+    sum_alternating_polynomial(p, 2 * G1 - 1)  # one substitution per half
+    assert len(calls) == 3
 
 
 # --------------------------------------------------------- alternating sums
