@@ -26,9 +26,13 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    # argparse names the type function in its own message for a ValueError
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
+        raise argparse.ArgumentTypeError(f"expected a positive integer, not {text!r}")
     return value
 
 

@@ -15,9 +15,9 @@ in turn exceeds every infinitesimal, which is still strictly positive when
 its leading coefficient is.
 
 Inside ``multiply``, ``divide``, ``power_int`` and ``polynomial_at``
-grosspowers and grossdigits run as integers: ``_keyed`` packs each
-grosspower into one integer key, whose sum and order are those of the
-grosspowers, and hands each operand back over its own integer scale.  So
+grosspowers and grossdigits run as integers: ``_keyed`` packs the
+grosspowers of its parts, one integer key each, whose sum and order are
+those of the grosspowers, and hands each part back over its own scale.  So
 their loops do only integer arithmetic, and ``_from_keyed`` builds one
 Fraction per result term.  Long division keeps its remainder as a dict
 from key to integer; a one-term divisor is a shift through ``multiply``,
@@ -362,10 +362,10 @@ def multiply(x: GrossNumber, y: GrossNumber) -> GrossNumber:
     fixed grosspower keeps the other operand's exponents strictly
     decreasing (the exponents form an ordered group), so its terms, scaled
     and shifted, are already canonical and need no merge or sort.
-    Otherwise ``_keyed`` packs both operands, each grosspower one integer
-    (adding two is ``+``) and each coefficient an integer over its
-    operand's scale, and ``_convolve`` multiplies them.  Each nonzero sum
-    becomes one Fraction over the product of the two scales.
+    Otherwise ``_keyed`` packs the operands as two parts of reach 1, each
+    grosspower one integer (adding two is ``+``) and each coefficient an
+    integer over its operand's scale, and ``_convolve`` multiplies them.
+    Each nonzero sum becomes one Fraction over the product of the scales.
     """
     if not x.terms or not y.terms:
         return ZERO
@@ -374,7 +374,7 @@ def multiply(x: GrossNumber, y: GrossNumber) -> GrossNumber:
     if len(y.terms) == 1:
         cy, py = y.terms[0]
         return GrossNumber(tuple(GrossTerm(cx * cy, add(px, py)) for cx, px in x.terms))
-    codec, (dx, xs), (dy, ys) = _keyed(x, y)
+    codec, [(dx, xs), (dy, ys)] = _keyed((x.terms, 1), (y.terms, 1))
     return _from_keyed(codec, [(k, Fraction(c, dx * dy)) for k, c in _decreasing(_convolve(xs, ys, {}))])
 
 
@@ -389,53 +389,50 @@ def _convolve(xs: Iterable, ys: list, products: dict) -> dict:
     return products
 
 
-def _keyed(x: GrossNumber, y: GrossNumber, x_reach: int = 1, y_reach: int = 1):
-    """Both operands packed: ``(codec, (dx, xs), (dy, ys))``.  ``xs`` and
-    ``ys`` list each operand's terms as ``(key, int)``, keys strictly
-    decreasing, each int the coefficient times the operand's own scale dx
-    or dy, the lcm of its coefficients' denominators.  ``codec`` is what
-    ``_from_keyed`` needs to unpack keys.
+def _keyed(*parts):
+    """``(codec, [(scale, pairs), ...])``: for each part ``(terms, reach)``,
+    its ``(coefficient, grosspower)`` terms in order as ``(key, int)`` pairs,
+    each int the coefficient times the lcm of the part's denominators,
+    ``scale``.  ``codec`` is what ``_from_keyed`` needs to unpack keys.
 
     A grosspower ``sum c_j*G1^{e_j}`` is a vector of digits over its inner
     exponents, and dominance order compares such vectors lexicographically,
     largest inner exponent first.  The basis is the distinct inner exponents
-    of every grosspower of x and y, decreasing; with L the lcm of the inner
-    coefficients' denominators, each digit ``c_j*L`` is an integer.  The key
-    packs the digits in balanced radix ``R = 2B + 1`` (Kronecker
-    substitution; Monagan and Pearce, "Sparse polynomial division using a
-    heap", JSC 2011).  While every digit lies in ``[-B, B]``, adding keys
-    adds grosspowers and ``<`` on keys is their order.  The digit bound
-    ``B = x_reach*mx + y_reach*my`` (mx, my the largest digits of x and y)
-    covers every digit the caller's loop can reach: reaches 1 and 1 for a
-    product, n and 0 for an n-th power, 1 and 2T for T division steps.
-    Over one basis element, as when all grosspowers are finite, key = digit.
+    of every part, decreasing (sorted only when it has two or more); with L
+    the lcm of the inner coefficients' denominators, each digit ``c_j*L`` is
+    an integer.  The key packs the digits in balanced radix ``R = 2B + 1``
+    (Kronecker substitution; Monagan and Pearce, "Sparse polynomial division
+    using a heap", JSC 2011).  While every digit lies in ``[-B, B]``, adding
+    keys adds grosspowers and ``<`` on keys is their order.  B, the sum of
+    reach times largest digit over the parts, covers every digit the
+    caller's loop reaches: 1 per factor of a product, n for an n-th power's
+    base, 1 for a dividend and 2T for a divisor over T steps.  Over one
+    basis element, as when all grosspowers are finite, key = digit.
     """
-    terms = x.terms + y.terms
     inner: dict = {}
     denominators = []
-    for _, p in terms:
-        for q, e in p.terms:
-            inner[e] = None
-            denominators.append(q.denominator)
-    basis = sorted(inner, key=cmp_to_key(compare), reverse=True)
+    for terms, _ in parts:
+        for _, p in terms:
+            for q, e in p.terms:
+                inner[e] = None
+                denominators.append(q.denominator)
+    basis = sorted(inner, key=cmp_to_key(compare), reverse=True) if len(inner) > 1 else list(inner)
     scale = lcm(*denominators)
-    split = len(x.terms)
-    at = {e: i for i, e in enumerate(basis)}
-    digits = [[(c.numerator * (scale // c.denominator), at[e]) for c, e in p.terms] for _, p in terms]
-    mx, my = (max([abs(d) for v in part for d, _ in v], default=0) for part in (digits[:split], digits[split:]))
-    radix = 2 * (x_reach * mx + y_reach * my) + 1
-    places = [radix**i for i in range(len(basis) - 1, -1, -1)]
+    bound = sum(reach * max([abs(q.numerator) * (scale // q.denominator) for _, p in terms for q, _ in p.terms],
+                            default=0) for terms, reach in parts)
+    places = [(2 * bound + 1) ** i for i in range(len(basis) - 1, -1, -1)]
+    place = dict(zip(basis, places))
     packed = []
-    for part, vs in ((terms[:split], digits[:split]), (terms[split:], digits[split:])):
-        s = lcm(*[c.denominator for c, _ in part])
+    for terms, _ in parts:
+        s = lcm(*[c.denominator for c, _ in terms])
         pairs = []
-        for v, (c, _) in zip(vs, part):
+        for c, p in terms:
             key = 0
-            for d, i in v:
-                key += d * places[i]
+            for q, e in p.terms:
+                key += q.numerator * (scale // q.denominator) * place[e]
             pairs.append((key, c.numerator * (s // c.denominator)))
         packed.append((s, pairs))
-    return (basis, scale, places), packed[0], packed[1]
+    return (basis, scale, places), packed
 
 
 def _decreasing(merged: dict) -> list:
@@ -500,12 +497,11 @@ def power_int(x: GrossNumber, n: int) -> GrossNumber:
     """Integer power; ``n < 0`` only for single-term numbers.
 
     A single term ``c*G1^p`` becomes ``c^n*G1^{n*p}`` directly.  A longer
-    base is packed once by ``_keyed``, with digits reaching n times the
-    base's, raised on integer keys and coefficients, and unpacked once.
-    Over one basis element it is a polynomial in a power of G1, which
-    ``_dense_power`` expands coefficient by coefficient; over more, or when
-    its terms lie too far apart for their count (the guard of
-    ``_dense_power``), ``_convolve`` squares it repeatedly.
+    base is packed once by ``_keyed``, as one part of reach n, raised on
+    integer keys and coefficients, and unpacked once.  Over one basis
+    element it is a polynomial in a power of G1, which ``_dense_power``
+    expands term by term; over more, or when its terms lie too far apart
+    for their count (its guard), ``_convolve`` squares it repeatedly.
 
     >>> power_int(GROSSONE + 1, 3)
     G1^{3} + 3*G1^{2} + 3*G1 + 1
@@ -523,7 +519,7 @@ def power_int(x: GrossNumber, n: int) -> GrossNumber:
         raise NegativePowerOfNonMonomial(
             "negative powers need a single-term number; use division instead"
         )
-    codec, (scale, xs), _ = _keyed(x, ZERO, n)
+    codec, [(scale, xs)] = _keyed((x.terms, n))
     scale **= n
     keyed = _dense_power(xs, n) if len(codec[0]) == 1 else None
     if keyed is None:
@@ -584,9 +580,9 @@ def polynomial_at(rows: dict, k: GrossNumber) -> GrossNumber:
     rows ``{g: (D, (n_0, ..., n_d))}``, all of one length, that ``summation``
     builds for its closed forms.
 
-    ``_keyed`` packs k once to pairs over a scale s, with digits reaching d
-    times its own, against one unit term per g.  With L the lcm of the D's,
-    column e holds ``n_e*(L/D)*s^(d-e)`` at each g's key.  Horner's rule
+    With L the lcm of the D's, ``_keyed`` packs two parts: k's terms, of
+    reach d, to pairs over a scale s, and ``L/D`` at each g, of reach 1.
+    Column e holds ``n_e*(L/D)*s^(d-e)`` at each g's key.  Horner's rule
     (Knuth, TAOCP vol. 2, 4.6.4) on the pairs of s*k adds one column per
     step, so the groups shift and merge on integer keys, and the keys are
     sorted and unpacked once, over ``L*s^d``.
@@ -597,11 +593,10 @@ def polynomial_at(rows: dict, k: GrossNumber) -> GrossNumber:
     if not rows:
         return ZERO
     degree = len(next(iter(rows.values()))[1]) - 1
-    # bare (1, g) pairs: _keyed reads no more of a term than these give
-    codec, (s, ks), (_, gs) = _keyed(k, GrossNumber(tuple([(1, g) for g in rows])), degree)
     common = lcm(*[d for d, _ in rows.values()])
-    factors = [(key, common // d, n) for (key, _), (d, n) in zip(gs, rows.values())]
-    value, *columns = [{key: f * n[degree - i] * s**i for key, f, n in factors} for i in range(degree + 1)]
+    codec, [(s, ks), (_, gs)] = _keyed((k.terms, degree), ([(common // d, g) for g, (d, _) in rows.items()], 1))
+    value, *columns = [{key: f * n[degree - i] * s**i for (key, f), (_, n) in zip(gs, rows.values())}
+                       for i in range(degree + 1)]
     for column in columns:
         value = _convolve(value.items(), ks, column)
     scale = common * s**degree
@@ -697,9 +692,8 @@ def divide(x: GrossNumber, y: GrossNumber, max_terms: int = DEFAULT_DIV_TERMS) -
             exact=len(x.terms) <= steps,
             terms_emitted=min(len(x.terms), steps),
         )
-    codec, (delta, xs), (dy, ys) = _keyed(x, y, 1, 2 * steps)
-    lead_key, a0 = ys[0]
-    tail = ys[1:]
+    codec, [(delta, xs), (dy, ys)] = _keyed((x.terms, 1), (y.terms, 2 * steps))
+    (lead_key, a0), *tail = ys
     remainder = dict(xs)
     quotient = []
     while remainder and len(quotient) < steps:

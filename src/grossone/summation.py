@@ -34,9 +34,9 @@ from .numio import Ast, Binary, Call, Compare, Unary, Var, operator_chain
 #: refused before the first item.
 MAX_SUM_ITEMS = 10_000
 
-#: Highest degree of a polynomial summand, checked before each product that
-#: builds one, so ``i^100000`` stops at once.  On a 2-core host, ``sum
-#: --summand "(i+G1)^100" --upper "2*G1-1" --alternating`` takes 0.15 s.
+#: Highest degree of a polynomial summand, checked before each product or
+#: power that builds one, so ``i^100000`` stops at once.  On a 2-core host,
+#: ``sum --summand "(i+G1)^100" --upper "2*G1-1" --alternating`` takes 0.15 s.
 MAX_SUMMAND_DEGREE = 100
 
 # The Akiyama-Tanigawa triangle's last row, and the B_n read off it so far.
@@ -251,11 +251,7 @@ def _poly_coefficients(expr: Ast, var: str, env: Env) -> list[GrossNumber]:
                 raise UnsupportedSummand(
                     "polynomial summands need finite non-negative integer exponents"
                 )
-            out = [ONE]
-            base = _poly_coefficients(expr.left, var, env)
-            for _ in range(exponent):
-                out = _poly_product(out, base)
-            return out
+            return _poly_product([ONE], _poly_coefficients(expr.left, var, env), exponent)
     if isinstance(expr, Call):
         raise UnsupportedSummand(
             f"the index variable {var!r} occurs inside a function call; "
@@ -285,15 +281,19 @@ def _chain_coefficients(expr: Binary, var: str, env: Env) -> list[GrossNumber]:
     return out
 
 
-def _poly_product(left: list[GrossNumber], right: list[GrossNumber]) -> list[GrossNumber]:
-    degree = len(left) + len(right) - 2
+def _poly_product(left: list[GrossNumber], right: list[GrossNumber], times: int = 1) -> list[GrossNumber]:
+    """left * right^times, refused before the first product when its degree
+    would exceed ``MAX_SUMMAND_DEGREE``."""
+    degree = len(left) - 1 + times * (len(right) - 1)
     if degree > MAX_SUMMAND_DEGREE:
         raise LimitExceeded(f"a polynomial summand has degree at most {MAX_SUMMAND_DEGREE}, not {degree}")
-    out = [ZERO] * (degree + 1)
-    for a, ca in enumerate(left):
-        for b, cb in enumerate(right):
-            out[a + b] = out[a + b] + ca * cb
-    return out
+    for _ in range(times):
+        out = [ZERO] * (len(left) + len(right) - 1)
+        for a, ca in enumerate(left):
+            for b, cb in enumerate(right):
+                out[a + b] = out[a + b] + ca * cb
+        left = out
+    return left
 
 
 def _mentions(expr: Ast, var: str) -> bool:

@@ -2,6 +2,7 @@
 subcommands."""
 
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -341,6 +342,21 @@ def test_bad_format_option_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["eval", "--format", "hex", "1"])
     assert exit_info.value.code == 1
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["eval", "--div-truncate", "x", "1"], "'x'"),
+    (["eval", "--div-truncate", "0", "1"], "'0'"),
+    (["eval", "--format", "decimal:x", "1"], "'x'"),
+    (["sum", "--summand", "i", "--upper", "3", "--format", "decimal:-2"], "'-2'"),
+])
+def test_bad_integer_option_names_no_private_helper(argv, text, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exit_info.value.code == 1
+    assert err.endswith(f"expected a positive integer, not {text}\n")
+    assert not re.search(r"(?<!\w)_\w", err)
 
 
 # --------------------------------------------------------------------- repl

@@ -632,7 +632,7 @@ def test_dense_power_binomial_coefficients():
 
 def test_wide_span_power_takes_squaring():
     x = 1 + G1_INV + monomial(1, -1000000)
-    _, (_, xs), _ = core._keyed(x, ZERO, 3)
+    _, [(_, xs)] = core._keyed((x.terms, 3))
     assert core._dense_power(xs, 3) is None
     assert power_int(x, 3) == reference_multiply(reference_multiply(x, x), x)
 
@@ -677,10 +677,55 @@ def test_packed_keys_power_matches_repeated_multiply(x, n):
 
 def test_one_inner_exponent_base_takes_the_dense_lane():
     x = monomial(1, 2 * G1) + monomial(3, G1) + 1
-    codec, (_, xs), _ = core._keyed(x, ZERO, 7)
+    codec, [(_, xs)] = core._keyed((x.terms, 7))
     assert len(codec[0]) == 1
     assert core._dense_power(xs, 7) is not None
     assert power_int(x, 7) == reduce(multiply, [x] * 7) == reduce(reference_multiply, [x] * 7)
+
+
+def counting_calls(monkeypatch, *names):
+    """A list that gains a function's name at each call, from here on, of
+    the ``core`` functions named.  ``sorted`` compares nothing for fewer than
+    two items, so an unneeded sort shows only as a call of ``cmp_to_key``."""
+    calls = []
+    for name in names:
+        real = getattr(core, name)
+        monkeypatch.setattr(core, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("x, y, k", [
+    # every grosspower finite: one inner exponent, ZERO
+    (G1 + 1, monomial(3, 2) - G1_INV + monomial(Fraction(1, 2), Fraction(-1, 2)), G1 - 1),
+    # one inner exponent, G1
+    (monomial(1, 2 * G1) + monomial(3, G1) + 1, monomial(1, -G1) + 2, G1),
+    # finite counts leave the basis empty
+    (from_int(3) + monomial(1, from_int(4)), from_int(2) + G1, from_int(5)),
+])
+def test_keyed_sorts_no_basis_of_one_inner_exponent(monkeypatch, x, y, k):
+    calls = counting_calls(monkeypatch, "compare", "cmp_to_key")
+    codec, _ = core._keyed((x.terms, 1), (y.terms, 1))
+    assert len(codec[0]) <= 1
+    # a count packed against ZERO-only groups, as summation's closed forms do
+    core._keyed((k.terms, 4), ([(1, ZERO)], 1))
+    product, power, quotient = multiply(x, y), power_int(x, 3), divide(x, y, 5)
+    value = polynomial_at({ZERO: (6, (0, 1, 3, 2))}, k)
+    assert calls == []
+    assert product == reference_multiply(x, y)
+    assert power == reference_multiply(reference_multiply(x, x), x)
+    assert quotient == reference_divide(x, y, 5)
+    assert value == horner([0, 1, 3, 2], k, 6)
+
+
+def test_keyed_sorts_a_basis_of_three_inner_exponents(monkeypatch):
+    # inner exponents meet in the order 1, -1, 1/2
+    x = monomial(1, G1 + G1_INV) + monomial(2, monomial(1, Fraction(1, 2))) + 1
+    calls = counting_calls(monkeypatch, "compare", "cmp_to_key")
+    codec, [(_, xs)] = core._keyed((x.terms, 2))
+    assert calls[0] == "cmp_to_key" and "compare" in calls
+    assert codec[0] == [ONE, from_rational(Fraction(1, 2)), from_int(-1)]
+    assert [k for k, _ in xs] == sorted([k for k, _ in xs], reverse=True)
+    assert power_int(x, 2) == reference_multiply(x, x)
 
 
 # ------------------------------------------------------------ polynomial_at

@@ -319,9 +319,19 @@ def test_geometric_summands_are_rejected():
 def test_summand_degree_is_capped(monkeypatch):
     monkeypatch.setattr(summation, "MAX_SUMMAND_DEGREE", 3)
     assert len(summand_polynomial(parse_expression("(i + 1)^3 - i*i*i"), "i").coefficients) == 3
-    for text in ("i^4", "(i^2)^2", "i*i*i*i", "(i + G1)^2 * (i - 1)^2", "(i - i + 1)^100000"):
+    for text in ("i^4", "(i^2)^2", "i*i*i*i", "(i + G1)^2 * (i - 1)^2"):
         with pytest.raises(LimitExceeded, match="a polynomial summand has degree at most 3, not 4"):
             summand_polynomial(parse_expression(text), "i")
+    with pytest.raises(LimitExceeded, match="a polynomial summand has degree at most 3, not 100000"):
+        summand_polynomial(parse_expression("(i - i + 1)^100000"), "i")
+
+
+@pytest.mark.parametrize("summand, degree", [("i^200", 200), ("i^100000", 100000), ("(i^2)^60", 120)])
+def test_a_power_above_the_degree_cap_names_its_own_degree(summand, degree, capsys):
+    # checked before the power's first product, at the degree it would reach
+    assert main(["sum", "--summand", summand, "--upper", "3"]) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: a polynomial summand has degree at most 100, not {degree}\n")
 
 
 def test_sum_with_a_summand_above_the_degree_cap_exits_3(monkeypatch, capsys):
