@@ -14,17 +14,18 @@ decides the sign, so every infinite number exceeds every finite one, which
 in turn exceeds every infinitesimal, which is still strictly positive when
 its leading coefficient is.
 
-Inside ``multiply``, ``divide``, ``power_int`` and ``polynomial_at``
-grosspowers and grossdigits run as integers: ``_keyed`` packs the
+Inside ``multiply``, ``divide``, ``power_int`` and the two polynomial
+kernels grosspowers and grossdigits run as integers: ``_keyed`` packs the
 grosspowers of its parts, one integer key each, whose sum and order are
 those of the grosspowers, and hands each part back over its own scale.  So
 their loops do only integer arithmetic, and ``_from_keyed`` builds one
 Fraction per result term.  Long division keeps its remainder as a dict
 from key to integer; a one-term divisor is a shift through ``multiply``,
-exact whatever the dividend's length.  ``polynomial_at`` substitutes the
-count of one of ``summation``'s closed forms into all of its integer rows
-at once: one packing, one Horner pass, one ``_from_keyed``.  When
-every grosspower is finite, a result term takes its grosspower from
+exact whatever the dividend's length.  For ``summation``,
+``polynomial_product`` expands a summand with its index as the top digit,
+and ``polynomial_at`` substitutes a closed form's count into all of its
+integer rows at once: one packing, one Horner pass, one ``_from_keyed``.
+When every grosspower is finite, a result term takes its grosspower from
 ``_decoded``, a bounded table shared across calls, so the same few finite
 grosspowers are made once and shared by every value that has them.
 """
@@ -393,7 +394,8 @@ def _keyed(*parts):
     """``(codec, [(scale, pairs), ...])``: for each part ``(terms, reach)``,
     its ``(coefficient, grosspower)`` terms in order as ``(key, int)`` pairs,
     each int the coefficient times the lcm of the part's denominators,
-    ``scale``.  ``codec`` is what ``_from_keyed`` needs to unpack keys.
+    ``scale``.  ``codec`` is what ``_from_keyed`` needs to unpack keys; its
+    first place, ``R^m`` over m basis elements, is free for a top digit.
 
     A grosspower ``sum c_j*G1^{e_j}`` is a vector of digits over its inner
     exponents, and dominance order compares such vectors lexicographically,
@@ -420,8 +422,8 @@ def _keyed(*parts):
     scale = lcm(*denominators)
     bound = sum(reach * max([abs(q.numerator) * (scale // q.denominator) for _, p in terms for q, _ in p.terms],
                             default=0) for terms, reach in parts)
-    places = [(2 * bound + 1) ** i for i in range(len(basis) - 1, -1, -1)]
-    place = dict(zip(basis, places))
+    places = [(2 * bound + 1) ** i for i in range(len(basis), -1, -1)]
+    place = dict(zip(basis, places[1:]))
     packed = []
     for terms, _ in parts:
         s = lcm(*[c.denominator for c, _ in terms])
@@ -446,10 +448,11 @@ def _from_keyed(codec: tuple, keyed: list) -> GrossNumber:
     """The gross-number of ``(key, coefficient)`` pairs packed by
     ``_keyed``, keys strictly decreasing and coefficients nonzero.
 
-    Each key is read back as balanced digits, largest basis element
-    first: ``d = round(key / place)``, as the lower digits add up to less
-    than half a place, then ``key -= d * place``.  Within one call each
-    ``(digit, basis element)`` becomes one shared inner GrossTerm.  Key 0
+    Each key is read back as balanced digits below its first place,
+    largest basis element first: ``d = round(key / place)``, as the lower
+    digits add up to less than half a place, then ``key -= d * place``.
+    Within one call each ``(digit, basis element)`` becomes one shared
+    inner GrossTerm.  Key 0
     maps to the shared ZERO exponent, so finite results hash like their
     rational value.  Over one basis element, as for every product, power
     and quotient whose grosspowers are all finite, the key is the digit:
@@ -465,7 +468,7 @@ def _from_keyed(codec: tuple, keyed: list) -> GrossNumber:
     out = []
     for key, c in keyed:
         inner = []
-        for j, place in enumerate(places):
+        for j, place in enumerate(places[1:]):
             if not key:
                 break
             d = (key + (place >> 1)) // place
@@ -498,10 +501,7 @@ def power_int(x: GrossNumber, n: int) -> GrossNumber:
 
     A single term ``c*G1^p`` becomes ``c^n*G1^{n*p}`` directly.  A longer
     base is packed once by ``_keyed``, as one part of reach n, raised on
-    integer keys and coefficients, and unpacked once.  Over one basis
-    element it is a polynomial in a power of G1, which ``_dense_power``
-    expands term by term; over more, or when its terms lie too far apart
-    for their count (its guard), ``_convolve`` squares it repeatedly.
+    integer keys by ``_raised`` and unpacked once.
 
     >>> power_int(GROSSONE + 1, 3)
     G1^{3} + 3*G1^{2} + 3*G1 + 1
@@ -521,7 +521,14 @@ def power_int(x: GrossNumber, n: int) -> GrossNumber:
         )
     codec, [(scale, xs)] = _keyed((x.terms, n))
     scale **= n
-    keyed = _dense_power(xs, n) if len(codec[0]) == 1 else None
+    return _from_keyed(codec, [(k, Fraction(c, scale)) for k, c in _raised(xs, n, len(codec[0]) == 1)])
+
+
+def _raised(xs: list, n: int, dense: bool) -> list:
+    """x^n, n >= 1, as ``(key, int)`` pairs from x's, keys decreasing: by
+    ``_dense_power`` when ``dense`` (at most one basis element), x has two
+    or more terms and the lane's guard agrees, else by squaring."""
+    keyed = _dense_power(xs, n) if dense and len(xs) > 1 else None
     if keyed is None:
         keyed, base = [(0, 1)], xs
         while n:
@@ -530,14 +537,14 @@ def power_int(x: GrossNumber, n: int) -> GrossNumber:
             if n > 1:
                 base = _decreasing(_convolve(base, base, {}))
             n >>= 1
-    return _from_keyed(codec, [(k, Fraction(c, scale)) for k, c in keyed])
+    return keyed
 
 
 def _dense_power(xs: list, n: int) -> list | None:
     """The ``(key, int)`` pairs of x^n by J. C. P. Miller's recurrence for
     powers of power series (Knuth, TAOCP vol. 2, 4.7), or None to leave it
-    to squaring.  ``xs`` are x's ``(key, int)`` pairs over a one-element
-    basis, so a key is a multiple of one grosspower.
+    to squaring.  ``xs`` are x's ``(key, int)`` pairs, keys decreasing, over
+    at most one basis element, so a key is one integer exponent.
 
     With keys ``K_0 > ... > K_{m-1}`` and g the gcd of the offsets
     ``K_0 - K_j``, x is ``G1^{K_0}`` times the polynomial ``sum a_i t^i`` in
@@ -601,6 +608,44 @@ def polynomial_at(rows: dict, k: GrossNumber) -> GrossNumber:
         value = _convolve(value.items(), ks, column)
     scale = common * s**degree
     return _from_keyed(codec, [(key, Fraction(c, scale)) for key, c in _decreasing(value)])
+
+
+def polynomial_product(left: list, right: list, n: int = 1) -> list:
+    """The coefficients of ``left * right^n``, each list holding those of an
+    index i's powers 0, 1, ...  As in ``power_int``, an all-zero ``right``
+    to the power 0 raises and a one-term factor ``c*i^j`` is a shift.
+    Otherwise ``_keyed`` packs the two lists as parts of reach 1 and n, and
+    a term of ``i^j`` gets ``j*R^m``, the first place, added to its key.
+    ``_raised`` and ``_convolve`` run on the keys, sorted once; balanced
+    rounding takes j back off each, one ``_from_keyed`` per power of i.
+
+    >>> polynomial_product([ONE], [GROSSONE, ONE], 2)
+    [G1^{2}, 2*G1, 1]
+    """
+    if n == 0:
+        if not any(right):
+            raise ZeroToNonpositivePower("0 cannot be raised to the power 0")
+        return left
+    if n == 1 and sum(map(bool, left)) == 1:
+        left, right = right, left
+    nonzero = [j for j, c in enumerate(right) if c]
+    if len(nonzero) == 1:
+        j = nonzero[0]
+        c = power_int(right[j], n)
+        return [ZERO] * (j * n) + [multiply(a, c) for a in left] + [ZERO] * ((len(right) - 1 - j) * n)
+    codec, [(sl, ls), (sr, rs)] = _keyed(([t for c in left for t in c.terms], 1),
+                                         ([t for c in right for t in c.terms], n))
+    top = codec[2][0]
+    ls, rs = [[(key + j * top, c) for j, x in enumerate(cs) for _, (key, c) in zip(x.terms, pairs)]
+              for cs, pairs in ((left, iter(ls)), (right, iter(rs)))]
+    if n > 1:
+        rs = _raised(sorted(rs, key=itemgetter(0), reverse=True), n, len(codec[0]) <= 1)
+    out = [[] for _ in range(len(left) + n * (len(right) - 1))]
+    scale = sl * sr**n
+    for key, c in _decreasing(_convolve(ls, rs, {})):
+        j = (key + (top >> 1)) // top
+        out[j].append((key - j * top, Fraction(c, scale)))
+    return [_from_keyed(codec, pairs) if pairs else ZERO for pairs in out]
 
 
 def as_int(x: GrossNumber) -> int | None:

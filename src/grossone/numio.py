@@ -467,12 +467,15 @@ def _term_text(coefficient: Fraction, exponent: GrossNumber, digits: Optional[in
 def _coefficient_text(q: Fraction, digits: Optional[int]) -> str:
     """A coefficient's digits; Python converts at most
     ``sys.get_int_max_str_digits()`` digits of an integer to text, so a
-    longer coefficient raises LimitExceeded."""
+    longer coefficient raises LimitExceeded, and a fraction asked for more
+    ``digits`` than that plus its denominator's bit length, before rounding."""
     try:
-        if digits is not None:
-            return _place_point(round(q * 10**digits), digits)
         if q.denominator == 1:
             return str(q.numerator)
+        if digits is not None:
+            if 0 < sys.get_int_max_str_digits() < digits - q.denominator.bit_length() - 1:
+                raise ValueError  # at least that many digits after the point
+            return _place_point(round(q * 10**digits), digits)
         twos = _multiplicity(q.denominator, 2)
         fives = _multiplicity(q.denominator, 5)
         if q.denominator == 2**twos * 5**fives:

@@ -7,11 +7,12 @@ sums split into the odd- and even-indexed subsums, which needs the parity
 of the item count (numbers without a parity are rejected rather than
 averaged, because an average is not a sum).
 
-A closed form is a polynomial in the count with rational coefficients,
-built on integers from cached rows (Faulhaber's formula with Bernoulli
-numbers), one per grosspower of the summand's coefficients, and
-``core.polynomial_at`` substitutes the count, a gross-number, into all
-of them at once.
+Both steps run on ``core``'s integer kernel.  ``core.polynomial_product``
+expands a summand into gross-number coefficients of the index's powers.
+A closed form is a polynomial in the count built on integers from cached
+rows (Faulhaber's formula with Bernoulli numbers), one per grosspower of
+those coefficients, and ``core.polynomial_at`` substitutes the count, a
+gross-number, into all of them at once.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ MAX_SUM_ITEMS = 10_000
 
 #: Highest degree of a polynomial summand, checked before each product or
 #: power that builds one, so ``i^100000`` stops at once.  On a 2-core host,
-#: ``sum --summand "(i+G1)^100" --upper "2*G1-1" --alternating`` takes 0.15 s.
+#: ``sum --summand "(i+G1+G1^{-1})^100" --upper "2*G1-1" --alternating``
+#: takes about 0.45 s end to end.
 MAX_SUMMAND_DEGREE = 100
 
 # The Akiyama-Tanigawa triangle's last row, and the B_n read off it so far.
@@ -287,13 +289,7 @@ def _poly_product(left: list[GrossNumber], right: list[GrossNumber], times: int 
     degree = len(left) - 1 + times * (len(right) - 1)
     if degree > MAX_SUMMAND_DEGREE:
         raise LimitExceeded(f"a polynomial summand has degree at most {MAX_SUMMAND_DEGREE}, not {degree}")
-    for _ in range(times):
-        out = [ZERO] * (len(left) + len(right) - 1)
-        for a, ca in enumerate(left):
-            for b, cb in enumerate(right):
-                out[a + b] = out[a + b] + ca * cb
-        left = out
-    return left
+    return core.polynomial_product(left, right, times)
 
 
 def _mentions(expr: Ast, var: str) -> bool:

@@ -5,6 +5,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -632,6 +633,23 @@ def test_huge_integer_output_is_a_limit_error(capsys):
     code, out, err = run(capsys, "eval", "--format", "decimal:2", "2^20000 + G1")
     assert (code, out) == (3, "")
     assert "too long to print" in err
+
+
+@pytest.mark.parametrize("places", [1_000_000, 10_000_000])
+def test_decimal_places_beyond_the_print_limit_are_refused_before_rounding(places, capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", "--format", f"decimal:{places}", "1/3")
+    assert time.perf_counter() - start < 0.25
+    assert (code, out) == (3, "")
+    assert err == f"error: a coefficient is too long to print: more than {DIGIT_LIMIT} digits\n"
+
+
+def test_decimal_places_that_print_today_still_print(capsys):
+    code, out, err = run(capsys, "eval", "--format", "decimal:5000", "1/10^4999")
+    assert (code, len(out), err) == (0, 5002, "")
+    assert out == "0." + "0" * 4998 + "1\n"
+    # an integer needs no places, however many are asked for
+    assert run(capsys, "eval", "--format", "decimal:10000000", "7 - G1") == (0, "-G1 + 7\n", "")
 
 
 def test_errors_on_a_huge_value_keep_their_own_message(capsys):

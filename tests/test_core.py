@@ -42,6 +42,7 @@ from grossone.core import (
     normalize,
     parity,
     polynomial_at,
+    polynomial_product,
     power_gross,
     power_int,
     reciprocal,
@@ -798,6 +799,54 @@ def test_polynomial_at_over_grosspower_groups_matches_horner(rows, k):
     for g, (denominator, numerators) in rows.items():
         expected = add(expected, multiply(monomial(1, g), horner(numerators, k, denominator)))
     assert polynomial_at(rows, k) == expected
+
+
+# ------------------------------------------------------- polynomial_product
+
+
+def reference_polynomial_product(left, right, n):
+    """``left * right^n`` on lists of an index's coefficients, one factor of
+    ``right`` at a time, pair by pair through ``*`` and ``+``."""
+    for _ in range(n):
+        out = [ZERO] * (len(left) + len(right) - 1)
+        for a, ca in enumerate(left):
+            for b, cb in enumerate(right):
+                out[a + b] = out[a + b] + ca * cb
+        left = out
+    return left
+
+
+# nested and fractional grosspowers, and zero coefficients, also among one
+# nonzero coefficient (a monomial in the index)
+index_coefficients = st.lists(st.one_of(gross_numbers(3, 3), packed_numbers, st.just(ZERO)), min_size=1, max_size=3)
+
+
+@given(index_coefficients, index_coefficients, st.integers(0, 5))
+def test_polynomial_product_matches_pairwise_reference(left, right, n):
+    assume(n or any(right))
+    result = polynomial_product(left, right, n)
+    assert len(result) == len(left) + n * (len(right) - 1)
+    assert result == reference_polynomial_product(left, right, n)
+
+
+@pytest.mark.parametrize("left, right, n", [
+    ([ONE], [G1 + G1_INV, ONE], 30),  # one basis element: the dense lane
+    ([ONE, G1], [monomial(1, G1 + 1) + monomial(1, monomial(1, 2)), ONE], 6),  # two: squaring
+    ([ONE], [ONE, monomial(2, Fraction(1, 2))], 5),  # every grosspower finite
+    ([from_int(3)], [ZERO, ZERO, G1 - 1], 4),  # a monomial in the index
+    ([G1 + 1, ZERO, from_int(-2)], [ONE, from_int(2)], 1),
+    ([ZERO, ZERO], [G1, ONE], 3),
+    ([G1 - 1], [ZERO, ZERO], 2),
+])
+def test_polynomial_product_lanes_match_reference(left, right, n):
+    assert polynomial_product(left, right, n) == reference_polynomial_product(left, right, n)
+
+
+@pytest.mark.parametrize("right", [[ZERO], [ZERO, ZERO], [ZERO, ZERO, ZERO]])
+def test_polynomial_product_refuses_zero_to_the_power_0(right):
+    with pytest.raises(ZeroToNonpositivePower, match="^0 cannot be raised to the power 0$"):
+        polynomial_product([G1, ONE], right, 0)
+    assert polynomial_product([G1, ONE], [ZERO, ONE], 0) == [G1, ONE]
 
 
 @pytest.mark.parametrize("x", [

@@ -1,6 +1,7 @@
 """Bernoulli numbers, power-sum closed forms, alternating sums and the
 brute-force cross-checks."""
 
+import hashlib
 from fractions import Fraction
 from math import comb
 
@@ -340,6 +341,38 @@ def test_sum_with_a_summand_above_the_degree_cap_exits_3(monkeypatch, capsys):
     assert main(["sum", "--summand", "i^4", "--upper", "2*G1-1", "--alternating"]) == 3
     out, err = capsys.readouterr()
     assert (out, err) == ("0.25*G1^{4} + 0.5*G1^{3} + 0.25*G1^{2}\n", "error: a polynomial summand has degree at most 3, not 4\n")
+
+
+def test_extracting_a_power_does_no_gross_arithmetic(monkeypatch):
+    calls = []
+    for name in ("multiply", "add"):
+        real = getattr(core, name)
+        monkeypatch.setattr(core, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    poly = summand_polynomial(parse_expression("(i + G1 + G1^{-1})^100"), "i")
+    # the base's two +, each adding the coefficients of i^0 and of i^1; the
+    # power runs on core's integer kernel
+    assert calls == ["add"] * 4
+    assert len(poly.coefficients) == 101
+    assert poly.coefficients[100] == ONE and poly.coefficients[99] == 100 * (G1 + monomial(1, -1))
+
+
+def test_alternating_sum_of_a_long_power_keeps_its_output(capsys):
+    argv = ["sum", "--summand", "(i+G1+G1^{-1})^100", "--upper", "2*G1-1", "--alternating"]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert (len(out), err) == (14386, "")
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "68eb10bac7f7d6aa"
+
+
+@pytest.mark.parametrize("summand, upper", [("(i-i)^0", "3"), ("(0*i)^0", "G1"), ("(i-i)^0 + 0*2^i", "3")])
+def test_zero_to_the_power_0_in_a_summand_is_an_error(summand, upper, capsys):
+    # one rule on both paths, as in eval "(1-1)^0"
+    assert main(["sum", "--summand", summand, "--upper", upper]) == 3
+    assert capsys.readouterr() == ("", "error: 0 cannot be raised to the power 0\n")
+    assert main(["eval", "(1-1)^0"]) == 3
+    assert capsys.readouterr() == ("", "error: 0 cannot be raised to the power 0\n")
+    assert main(["sum", "--summand", "(i - i + 1)^0", "--upper", "3"]) == 0
+    assert capsys.readouterr() == ("3\n", "")
 
 
 @given(st.lists(st.integers(-4, 4), min_size=1, max_size=4), st.integers(0, 30))
