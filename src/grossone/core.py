@@ -23,8 +23,9 @@ Fraction per result term.  Long division keeps its remainder as a dict
 from key to integer; a one-term divisor is a shift through ``multiply``,
 exact whatever the dividend's length.  For ``summation``,
 ``polynomial_product`` expands a summand with its index as the top digit,
-and ``polynomial_at`` substitutes a closed form's count into all of its
-integer rows at once: one packing, one Horner pass, one ``_from_keyed``.
+and ``polynomial_at`` substitutes a closed form's count into the sum of
+the summand's coefficients times integer rows: one packing, one Horner
+pass, one ``_from_keyed``.
 When every grosspower is finite, a result term takes its grosspower from
 ``_decoded``, a bounded table shared across calls, so the same few finite
 grosspowers are made once and shared by every value that has them.
@@ -582,31 +583,37 @@ def _dense_power(xs: list, n: int) -> list | None:
     return [(n * top - k * g, c) for k, c in enumerate(b) if c]
 
 
-def polynomial_at(rows: dict, k: GrossNumber) -> GrossNumber:
-    """``sum_g G1^g * (n_0 + n_1*k + ... + n_d*k^d) / D`` over the integer
-    rows ``{g: (D, (n_0, ..., n_d))}``, all of one length, that ``summation``
-    builds for its closed forms.
+def polynomial_at(coefficients: list, rows: list, k: GrossNumber) -> GrossNumber:
+    """``sum_j c_j * (n_0 + n_1*k + ...) / D_j``, the gross-numbers
+    ``coefficients`` each over its integer row ``(D_j, (n_0, n_1, ...))``,
+    rows of any length, as ``summation`` builds its closed forms.
 
-    With L the lcm of the D's, ``_keyed`` packs two parts: k's terms, of
-    reach d, to pairs over a scale s, and ``L/D`` at each g, of reach 1.
-    Column e holds ``n_e*(L/D)*s^(d-e)`` at each g's key.  Horner's rule
-    (Knuth, TAOCP vol. 2, 4.6.4) on the pairs of s*k adds one column per
-    step, so the groups shift and merge on integer keys, and the keys are
-    sorted and unpacked once, over ``L*s^d``.
+    With L the lcm of the D's and d the highest degree, ``_keyed`` packs
+    k's terms, of reach d, to pairs over a scale s, and every coefficient's
+    terms, of reach 1.  Column e gets ``a*(L/D_j)*n_e*s^(d-e)`` at the key
+    of each term a of c_j.  Horner's rule (Knuth, TAOCP vol. 2, 4.6.4) on
+    the pairs of s*k adds one column per step, so the terms shift and merge
+    on integer keys, and the keys are sorted and unpacked once.
 
-    >>> polynomial_at({ZERO: (2, (0, 1, 1)), ONE: (1, (1, 0, 0))}, GROSSONE)
+    >>> polynomial_at([ONE, GROSSONE], [(2, (0, 1, 1)), (1, (1,))], GROSSONE)
     0.5*G1^{2} + 1.5*G1
     """
-    if not rows:
-        return ZERO
-    degree = len(next(iter(rows.values()))[1]) - 1
-    common = lcm(*[d for d, _ in rows.values()])
-    codec, [(s, ks), (_, gs)] = _keyed((k.terms, degree), ([(common // d, g) for g, (d, _) in rows.items()], 1))
-    value, *columns = [{key: f * n[degree - i] * s**i for (key, f), (_, n) in zip(gs, rows.values())}
-                       for i in range(degree + 1)]
-    for column in columns:
+    degree = max([len(n) for _, n in rows], default=1) - 1
+    common = lcm(*[d for d, _ in rows])
+    codec, [(s, ks), (sc, cs)] = _keyed((k.terms, degree), ([t for c in coefficients for t in c.terms], 1))
+    powers = [s**i for i in range(degree + 1)]
+    columns = [{} for _ in powers]  # columns[e] is that of k^e
+    pairs = iter(cs)
+    for c, (d, numerators) in zip(coefficients, rows):
+        scaled = [(column, (common // d) * n * power)
+                  for column, n, power in zip(columns, numerators, reversed(powers)) if n]
+        for _, (key, a) in zip(c.terms, pairs):
+            for column, m in scaled:
+                column[key] = column.get(key, 0) + a * m
+    value = columns.pop()
+    for column in reversed(columns):
         value = _convolve(value.items(), ks, column)
-    scale = common * s**degree
+    scale = common * sc * powers[degree]
     return _from_keyed(codec, [(key, Fraction(c, scale)) for key, c in _decreasing(value)])
 
 

@@ -50,7 +50,8 @@ class LimitExceeded(GrossoneError):
     ``evaluator.MAX_CALL_LEVELS`` levels, a quotient that would need more
     than ``core.MAX_DIV_TERMS`` terms under a budget above that cap, a
     term-by-term sum of more than ``summation.MAX_SUM_ITEMS`` items, or a
-    polynomial summand of degree above ``summation.MAX_SUMMAND_DEGREE``."""
+    polynomial summand, or a power sum ``summation.faulhaber(j, k)``, of
+    degree above ``summation.MAX_SUMMAND_DEGREE``."""
 
 
 # ------------------------------------------------------------------- parsing

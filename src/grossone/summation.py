@@ -2,17 +2,19 @@
 
 A sum is only defined once its item count is stated, and the count may be
 infinite: the sum of i for i = 1..G1 is 0.5*G1^{2} + 0.5*G1, exactly.
-Polynomial summands are summed through power-sum closed forms; alternating
-sums split into the odd- and even-indexed subsums, which needs the parity
-of the item count (numbers without a parity are rejected rather than
-averaged, because an average is not a sum).
+Polynomial summands are summed through power-sum closed forms.  An
+alternating sum is the plain sum less twice its even-indexed items, which
+needs the parity of the item count (numbers without a parity are rejected
+rather than averaged, because an average is not a sum).
 
 Both steps run on ``core``'s integer kernel.  ``core.polynomial_product``
-expands a summand into gross-number coefficients of the index's powers.
-A closed form is a polynomial in the count built on integers from cached
-rows (Faulhaber's formula with Bernoulli numbers), one per grosspower of
-those coefficients, and ``core.polynomial_at`` substitutes the count, a
-gross-number, into all of them at once.
+expands a summand into gross-number coefficients c_j of the index's
+powers.  Its sum is ``sum_j c_j * F_j(k)``, with F_j the power sum
+1^j + ... + k^j as a cached integer row (Faulhaber's formula with
+Bernoulli numbers), and ``core.polynomial_at`` substitutes the count, a
+gross-number, into all of it at once.  These rows are the only ones:
+the even-indexed items p(2), ..., p(2m) sum to ``sum_j c_j * 2^j * F_j(m)``,
+so twice them is the same rows shifted left by j + 1 bits, at m.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from math import comb, gcd, lcm
+from math import comb, lcm
 from typing import Iterable, Tuple
 
 from . import core
@@ -36,9 +38,10 @@ from .numio import Ast, Binary, Call, Compare, Unary, Var, operator_chain
 MAX_SUM_ITEMS = 10_000
 
 #: Highest degree of a polynomial summand, checked before each product or
-#: power that builds one, so ``i^100000`` stops at once.  On a 2-core host,
+#: power that builds one and before a Faulhaber row is made, so
+#: ``i^100000`` and ``faulhaber(100000, k)`` stop at once.  On a 2-core host,
 #: ``sum --summand "(i+G1+G1^{-1})^100" --upper "2*G1-1" --alternating``
-#: takes about 0.45 s end to end.
+#: takes about 0.3 s end to end.
 MAX_SUMMAND_DEGREE = 100
 
 # The Akiyama-Tanigawa triangle's last row, and the B_n read off it so far.
@@ -64,42 +67,30 @@ def bernoulli(n: int) -> Fraction:
     return values[n]
 
 
-@lru_cache(maxsize=4 * (MAX_SUMMAND_DEGREE + 2))  # the three (a, b) in use
-def _row(j: int, a: int, b: int) -> tuple[int, tuple[int, ...]]:
+@lru_cache(maxsize=MAX_SUMMAND_DEGREE + 1)
+def _row(j: int) -> tuple[int, tuple[int, ...]]:
     """``(D, (n_0, ..., n_{j+1}))``: the coefficients n_e/D in t of
-    (a*1 + b)^j + ... + (a*t + b)^j.  The (1, 0) row is Faulhaber's formula,
-    ``sum_r comb(j+1, r)*B_r*t^(j+1-r) / (j+1)`` for r = 0..j; any other
-    expands (a*s + b)^j binomially into (1, 0) rows."""
-    if (a, b) == (1, 0):
-        coefficients = [Fraction(0)] + [comb(j + 1, r) * bernoulli(r) / (j + 1) for r in range(j, -1, -1)]
-        common = lcm(*[c.denominator for c in coefficients])
-        return common, tuple(c.numerator * (common // c.denominator) for c in coefficients)
-    factors = [(comb(j, m) * a**m * b ** (j - m), m) for m in range(j + 1)]
-    return _combined([(f, _row(m, 1, 0)) for f, m in factors if f], j + 2)
-
-
-def _combined(pairs: list, size: int) -> tuple[int, tuple[int, ...]]:
-    """``sum q*row`` over ``(q, row)`` pairs of a rational and a row, as a
-    row of ``size`` entries in lowest terms, summed on integers."""
-    common = lcm(*[q.denominator * d for q, (d, _) in pairs])
-    out = [0] * size
-    for q, (d, numerators) in pairs:
-        factor = q.numerator * (common // (q.denominator * d))
-        for e, n in enumerate(numerators):
-            out[e] += factor * n
-    g = gcd(common, *out)
-    return common // g, tuple(n // g for n in out)
+    1^j + 2^j + ... + t^j by Faulhaber's formula,
+    ``sum_r comb(j+1, r)*B_r*t^(j+1-r) / (j+1)`` for r = 0..j.  A j above
+    ``MAX_SUMMAND_DEGREE`` raises LimitExceeded before any work, so the
+    cache holds every row that can be built."""
+    if j > MAX_SUMMAND_DEGREE:
+        raise LimitExceeded(f"a polynomial summand has degree at most {MAX_SUMMAND_DEGREE}, not {j}")
+    coefficients = [Fraction(0)] + [comb(j + 1, r) * bernoulli(r) / (j + 1) for r in range(j, -1, -1)]
+    common = lcm(*[c.denominator for c in coefficients])
+    return common, tuple(c.numerator * (common // c.denominator) for c in coefficients)
 
 
 def faulhaber(j: int, k: GrossNumber) -> GrossNumber:
-    """Power sum 1^j + 2^j + ... + k^j as an exact polynomial in k.
+    """Power sum 1^j + 2^j + ... + k^j as an exact polynomial in k, for
+    j up to ``MAX_SUMMAND_DEGREE``.
 
     >>> faulhaber(1, from_int(100)) == 5050
     True
     """
     if j < 0:
         raise ValueError("j must be >= 0")
-    return core.polynomial_at({ZERO: _row(j, 1, 0)}, as_gross(k))
+    return core.polynomial_at([ONE], [_row(j)], as_gross(k))
 
 
 @dataclass(frozen=True)
@@ -118,19 +109,7 @@ class PolynomialSummand:
 
 def sum_polynomial(p: PolynomialSummand, k: GrossNumber) -> GrossNumber:
     """Sum of p(i) for i = 1..k, exact for any gross-number count k."""
-    return _summed(p, as_gross(k), 1, 0)
-
-
-def _summed(p: PolynomialSummand, k: GrossNumber, a: int, b: int) -> GrossNumber:
-    """Sum of p(a*s + b) for s = 1..k: the digits q_j of one grosspower g
-    in p's coefficients make the row ``P_g = sum_j q_j * _row(j, a, b)``,
-    and the sum is ``sum_g G1^g * P_g(k)``, with k substituted once."""
-    groups: dict = {}
-    for j, coefficient in enumerate(p.coefficients):
-        for q, g in coefficient.terms:
-            groups.setdefault(g, []).append((q, _row(j, a, b)))
-    size = len(p.coefficients) + 1
-    return core.polynomial_at({g: _combined(pairs, size) for g, pairs in groups.items()}, k)
+    return core.polynomial_at(p.coefficients, [_row(j) for j in range(len(p.coefficients))], as_gross(k))
 
 
 def sum_alternating_unit(k: GrossNumber) -> GrossNumber:
@@ -141,15 +120,17 @@ def sum_alternating_unit(k: GrossNumber) -> GrossNumber:
 def sum_alternating_polynomial(p: PolynomialSummand, k: GrossNumber) -> GrossNumber:
     """Sum of (-1)^(i+1) * p(i) for i = 1..k.
 
-    Splits into the odd-indexed items p(1), p(3), ... minus the
-    even-indexed items p(2), p(4), ...; each half is a polynomial sum over
-    a half-scale count, so the item count k must have a parity.
+    That is the plain sum less twice the even-indexed items p(2), ...,
+    p(2m), with m = (k - odd)/2, so the item count k must have a parity.
+    As p(2s) is ``sum_j c_j * 2^j * s^j``, the even half's rows are the
+    plain sum's rows with their integers shifted left by j + 1.
     """
     k = as_gross(k)
     odd = 0 if core.parity(k) is Parity.EVEN else 1
-    positives = scalar_mul(Fraction(1, 2), k + odd)
-    negatives = scalar_mul(Fraction(1, 2), k - odd)
-    return _summed(p, positives, 2, -1) - _summed(p, negatives, 2, 0)
+    rows = [_row(j) for j in range(len(p.coefficients))]
+    evens = [(d, tuple(n << j + 1 for n in numerators)) for j, (d, numerators) in enumerate(rows)]
+    half = scalar_mul(Fraction(1, 2), k - odd)
+    return core.polynomial_at(p.coefficients, rows, k) - core.polynomial_at(p.coefficients, evens, half)
 
 
 def sum_finite_generic(

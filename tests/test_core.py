@@ -707,10 +707,10 @@ def test_keyed_sorts_no_basis_of_one_inner_exponent(monkeypatch, x, y, k):
     calls = counting_calls(monkeypatch, "compare", "cmp_to_key")
     codec, _ = core._keyed((x.terms, 1), (y.terms, 1))
     assert len(codec[0]) <= 1
-    # a count packed against ZERO-only groups, as summation's closed forms do
-    core._keyed((k.terms, 4), ([(1, ZERO)], 1))
+    # a count packed against the coefficient ONE, as faulhaber's closed form is
+    core._keyed((k.terms, 4), (ONE.terms, 1))
     product, power, quotient = multiply(x, y), power_int(x, 3), divide(x, y, 5)
-    value = polynomial_at({ZERO: (6, (0, 1, 3, 2))}, k)
+    value = polynomial_at([ONE], [(6, (0, 1, 3, 2))], k)
     assert calls == []
     assert product == reference_multiply(x, y)
     assert power == reference_multiply(reference_multiply(x, x), x)
@@ -758,7 +758,7 @@ coefficient_lists = st.builds(
 
 @given(coefficient_lists, st.one_of(gross_numbers(), packed_numbers), st.integers(1, 12))
 def test_polynomial_at_matches_horner(coefficients, k, denominator):
-    assert polynomial_at({ZERO: row(coefficients, denominator)}, k) == horner(coefficients, k, denominator)
+    assert polynomial_at([ONE], [row(coefficients, denominator)], k) == horner(coefficients, k, denominator)
 
 
 @pytest.mark.parametrize("k", [
@@ -772,18 +772,21 @@ def test_polynomial_at_matches_horner(coefficients, k, denominator):
     [], [0, 0], [Fraction(5, 2)], [Fraction(5, 2), 0, 0], [1, -2, 0, 3], [0, Fraction(1, 2), Fraction(-1, 3), 0],
 ], ids=["empty", "zeros", "constant", "constant-trailing-zeros", "integers", "fractions-trailing-zero"])
 def test_polynomial_at_edge_cases(coefficients, k):
-    assert polynomial_at({ZERO: row(coefficients)}, k) == horner(coefficients, k)
-    assert polynomial_at({ZERO: row(coefficients, 6)}, k) == horner(coefficients, k, 6)
+    assert polynomial_at([ONE], [row(coefficients)], k) == horner(coefficients, k)
+    assert polynomial_at([ONE], [row(coefficients, 6)], k) == horner(coefficients, k, 6)
 
 
-# Rows of one length over up to four grosspowers, finite, fractional or
-# nested, each with its own denominator.
-grouped_rows = st.integers(1, 5).flatmap(
-    lambda degree: st.dictionaries(
-        gross_numbers(2, 3),
-        st.tuples(st.integers(1, 12), st.tuples(*[st.integers(-9, 9)] * (degree + 1))),
-        max_size=4,
-    )
+# One to four coefficients, with nested and fractional grosspowers and
+# zero coefficients among them, each over an integer row of its own length
+# and denominator.
+coefficient_rows = st.lists(
+    st.tuples(
+        st.one_of(gross_numbers(3, 3), packed_numbers, st.just(ZERO)),
+        st.integers(1, 12),
+        st.lists(st.integers(-9, 9), min_size=1, max_size=6),
+    ),
+    min_size=1,
+    max_size=4,
 )
 many_term_counts = st.sampled_from([
     monomial(1, G1) + G1 + 1,
@@ -793,12 +796,13 @@ many_term_counts = st.sampled_from([
 ])
 
 
-@given(grouped_rows, st.one_of(gross_numbers(), packed_numbers, many_term_counts))
-def test_polynomial_at_over_grosspower_groups_matches_horner(rows, k):
+@given(coefficient_rows, st.one_of(gross_numbers(), packed_numbers, many_term_counts))
+def test_polynomial_at_sums_coefficients_times_rows(pairs, k):
     expected = ZERO
-    for g, (denominator, numerators) in rows.items():
-        expected = add(expected, multiply(monomial(1, g), horner(numerators, k, denominator)))
-    assert polynomial_at(rows, k) == expected
+    for c, denominator, numerators in pairs:
+        expected = add(expected, multiply(c, horner(numerators, k, denominator)))
+    rows = [(denominator, tuple(numerators)) for _, denominator, numerators in pairs]
+    assert polynomial_at([c for c, _, _ in pairs], rows, k) == expected
 
 
 # ------------------------------------------------------- polynomial_product

@@ -28,6 +28,7 @@ from grossone.errors import EvalError, LimitExceeded, ParityUndefined, Unsupport
 from grossone.numio import parse_expression
 from grossone.summation import (
     MAX_SUM_ITEMS,
+    MAX_SUMMAND_DEGREE,
     PolynomialSummand,
     bernoulli,
     faulhaber,
@@ -111,6 +112,20 @@ def test_faulhaber_at_the_infinite_count():
     assert faulhaber(1, from_int(100)) == from_int(5050)
 
 
+def test_faulhaber_refuses_an_exponent_above_the_degree_cap(monkeypatch):
+    # refused before the first Bernoulli number, so at once however large j is
+    made = []
+    real = summation.bernoulli
+    monkeypatch.setattr(summation, "bernoulli", lambda n: made.append(n) or real(n))
+    message = f"a polynomial summand has degree at most {MAX_SUMMAND_DEGREE}, not {MAX_SUMMAND_DEGREE + 1}"
+    with pytest.raises(LimitExceeded, match=message):
+        faulhaber(MAX_SUMMAND_DEGREE + 1, G1)
+    assert made == []
+    j = MAX_SUMMAND_DEGREE
+    assert faulhaber(j, from_int(3)) == from_int(1 + 2**j + 3**j)
+    assert faulhaber(j, G1).terms[0] == (Fraction(1, j + 1), from_int(j + 1))
+
+
 # --------------------------------------------------------- polynomial sums
 
 
@@ -174,7 +189,7 @@ def test_a_closed_form_substitutes_the_count_once(monkeypatch, text):
     monkeypatch.setattr(core, "polynomial_at", lambda *args: calls.append(args) or substitute(*args))
     sum_polynomial(p, MANY_TERM_COUNT)
     assert len(calls) == 1
-    sum_alternating_polynomial(p, 2 * G1 - 1)  # one substitution per half
+    sum_alternating_polynomial(p, 2 * G1 - 1)  # the plain sum and its even half
     assert len(calls) == 3
 
 
@@ -220,6 +235,32 @@ def test_alternating_matches_brute_force():
                 value = sum(c * Fraction(k) ** j for j, c in enumerate(poly))
                 running += value if k % 2 else -value
             assert as_rational(sum_alternating_polynomial(p, from_int(k))) == running
+
+
+def half_split(text, k):
+    """The alternating sum of the summand ``text`` in i, as the odd-indexed
+    items p(2i-1) over (k+odd)/2 items less the even-indexed items p(2i)
+    over (k-odd)/2: the closed form that the shifted rows replaced."""
+    odd = 0 if parity(k) is Parity.EVEN else 1
+    odds, evens = (summand_polynomial(parse_expression(text.replace("i", item)), "i") for item in ("(2*i-1)", "(2*i)"))
+    return sum_polynomial(odds, scalar_mul(Fraction(1, 2), k + odd)) - sum_polynomial(
+        evens, scalar_mul(Fraction(1, 2), k - odd)
+    )
+
+
+@pytest.mark.parametrize("k", [ZERO, from_int(7), 2 * G1, 2 * G1 - 1, MANY_TERM_COUNT],
+                         ids=["0", "7", "2G1", "2G1-1", "many-term"])
+@pytest.mark.parametrize("text", GROSS_SUMMANDS + ["3/2*i^3 - 1/4*i^2 + 2*i - 7/3"])
+def test_alternating_sum_matches_the_half_split(text, k):
+    p = summand_polynomial(parse_expression(text), "i")
+    assert sum_alternating_polynomial(p, k) == half_split(text, k)
+
+
+@pytest.mark.parametrize("k", [G1 + monomial(1, -1), HALF_G1 + Fraction(1, 2)])
+def test_alternating_sum_needs_a_count_with_a_parity(k):
+    p = summand_polynomial(parse_expression("3/2*i^3 - 1/4*i^2 + 2*i - 7/3"), "i")
+    with pytest.raises(ParityUndefined):
+        sum_alternating_polynomial(p, k)
 
 
 # --------------------------------------- count-free identities at gross counts
