@@ -848,13 +848,7 @@ def is_integer_like(x: GrossNumber) -> bool:
     coefficient: G1 is divisible by every finite natural, so G1/2, 2*G1/3
     and so on are integers of the extended system.
     """
-    for term in x.terms:
-        s = sign(term.exponent)
-        if s < 0:
-            return False
-        if s == 0 and term.coefficient.denominator != 1:
-            return False
-    return True
+    return as_rational(finite_part(x)).denominator == 1 and not has_infinitesimal_part(x)
 
 
 def parity(x: GrossNumber) -> Parity:
@@ -864,13 +858,9 @@ def parity(x: GrossNumber) -> Parity:
     multiples of all finite naturals), so parity is decided by the integer
     finite part alone.
     """
-    finite_coeff = Fraction(0)
-    for term in x.terms:
-        s = sign(term.exponent)
-        if s < 0:
-            raise ParityUndefined(f"{_shown(x)} has an infinitesimal part")
-        if s == 0:
-            if term.coefficient.denominator != 1:
-                raise ParityUndefined(f"{_shown(x)} has a non-integer finite part")
-            finite_coeff = term.coefficient
-    return Parity.EVEN if finite_coeff % 2 == 0 else Parity.ODD
+    finite = as_rational(finite_part(x))
+    if finite.denominator != 1:
+        raise ParityUndefined(f"{_shown(x)} has a non-integer finite part")
+    if has_infinitesimal_part(x):
+        raise ParityUndefined(f"{_shown(x)} has an infinitesimal part")
+    return Parity.EVEN if finite % 2 == 0 else Parity.ODD

@@ -10,9 +10,10 @@ rather than averaged, because an average is not a sum).
 Both steps run on ``core``'s integer kernel.  ``core.polynomial_product``
 expands a summand into gross-number coefficients c_j of the index's
 powers.  Its sum is ``sum_j c_j * F_j(k)``, with F_j the power sum
-1^j + ... + k^j as a cached integer row (Faulhaber's formula with
-Bernoulli numbers), and ``core.polynomial_at`` substitutes the count, a
-gross-number, into all of it at once.  These rows are the only ones:
+1^j + ... + k^j as a cached integer row (each built in integers from the
+row below, by F_j = j * (integral of F_{j-1}) + B_j*t), and
+``core.polynomial_at`` substitutes the count, a gross-number, into all of
+it at once.  These rows are the only ones:
 the even-indexed items p(2), ..., p(2m) sum to ``sum_j c_j * 2^j * F_j(m)``,
 so twice them is the same rows shifted left by j + 1 bits, at m.
 """
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from math import comb, lcm
+from math import gcd, lcm
 from typing import Iterable, Tuple
 
 from . import core
@@ -44,41 +45,27 @@ MAX_SUM_ITEMS = 10_000
 #: takes about 0.3 s end to end.
 MAX_SUMMAND_DEGREE = 100
 
-# The Akiyama-Tanigawa triangle's last row, and the B_n read off it so far.
-_bernoulli_row: list[Fraction] = []
-_bernoulli_values: list[Fraction] = []
-
-
-def bernoulli(n: int) -> Fraction:
-    """Exact Bernoulli number B_n with the B_1 = +1/2 convention.
-
-    Computed by the Akiyama-Tanigawa triangle, which yields this convention
-    directly.  The triangle grows by the rows it lacks, so B_0 .. B_n cost
-    O(n^2) steps in all, in whatever order they are asked for.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    row, values = _bernoulli_row, _bernoulli_values
-    for m in range(len(values), n + 1):
-        row.append(Fraction(1, m + 1))
-        for j in range(m, 0, -1):
-            row[j - 1] = j * (row[j - 1] - row[j])
-        values.append(row[0])
-    return values[n]
-
 
 @lru_cache(maxsize=MAX_SUMMAND_DEGREE + 1)
 def _row(j: int) -> tuple[int, tuple[int, ...]]:
     """``(D, (n_0, ..., n_{j+1}))``: the coefficients n_e/D in t of
-    1^j + 2^j + ... + t^j by Faulhaber's formula,
-    ``sum_r comb(j+1, r)*B_r*t^(j+1-r) / (j+1)`` for r = 0..j.  A j above
-    ``MAX_SUMMAND_DEGREE`` raises LimitExceeded before any work, so the
-    cache holds every row that can be built."""
+    S_j(t) = 1^j + 2^j + ... + t^j, in lowest terms.
+
+    Built from the row below by S_0 = t and S_j = j * (integral of S_{j-1}
+    from 0 to t) + c*t, with c set so that S_j(1) = 1 (c is the Bernoulli
+    number B_j).  Over D*L, with L = lcm(1, ..., j+1), all of it is in
+    integers.  A j above ``MAX_SUMMAND_DEGREE`` raises LimitExceeded
+    before any work, so the cache holds every row that can be built."""
     if j > MAX_SUMMAND_DEGREE:
         raise LimitExceeded(f"a polynomial summand has degree at most {MAX_SUMMAND_DEGREE}, not {j}")
-    coefficients = [Fraction(0)] + [comb(j + 1, r) * bernoulli(r) / (j + 1) for r in range(j, -1, -1)]
-    common = lcm(*[c.denominator for c in coefficients])
-    return common, tuple(c.numerator * (common // c.denominator) for c in coefficients)
+    if j == 0:
+        return 1, (0, 1)
+    d, numerators = _row(j - 1)
+    scale = lcm(*range(1, j + 2))
+    integral = [j * n * scale // (e + 1) for e, n in enumerate(numerators)]
+    row = (0, d * scale - sum(integral), *integral[1:])
+    common = gcd(d * scale, *row)
+    return d * scale // common, tuple(n // common for n in row)
 
 
 def faulhaber(j: int, k: GrossNumber) -> GrossNumber:

@@ -343,6 +343,27 @@ def test_is_integer_like():
     assert not is_integer_like(from_rational(Fraction(3, 2)))
 
 
+def test_parity_names_a_non_integer_finite_part_before_an_infinitesimal_part():
+    with pytest.raises(ParityUndefined, match=r"^0\.5 \+ G1\^\{-1\} has a non-integer finite part$"):
+        parity(from_rational(Fraction(1, 2)) + G1_INV)
+    with pytest.raises(ParityUndefined, match=r"^1 \+ G1\^\{-1\} has an infinitesimal part$"):
+        parity(ONE + G1_INV)
+
+
+@given(gross_numbers(), st.integers(-3, 3))
+def test_is_integer_like_exactly_when_parity_is_defined(x, n):
+    # x alone seldom has a parity, so its positive-grosspower terms plus n,
+    # which always has one, are checked too
+    whole = normalize([(t.coefficient, t.exponent) for t in x.terms if sign(t.exponent) > 0] + [(n, ZERO)])
+    for value in (x, whole, whole + G1_INV, whole + Fraction(1, 2)):
+        try:
+            parity(value)
+            defined = True
+        except ParityUndefined:
+            defined = False
+        assert is_integer_like(value) is defined
+
+
 @given(gross_numbers())
 def test_half_of_positive_integer_like_is_smaller(k):
     if is_integer_like(k) and sign(k) > 0:

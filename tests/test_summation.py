@@ -1,9 +1,9 @@
-"""Bernoulli numbers, power-sum closed forms, alternating sums and the
-brute-force cross-checks."""
+"""Power-sum closed forms against a Bernoulli-number reference, alternating
+sums and the brute-force cross-checks."""
 
 import hashlib
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given
@@ -30,7 +30,6 @@ from grossone.summation import (
     MAX_SUM_ITEMS,
     MAX_SUMMAND_DEGREE,
     PolynomialSummand,
-    bernoulli,
     faulhaber,
     sum_alternating_polynomial,
     sum_alternating_unit,
@@ -54,12 +53,34 @@ EVENS = PolynomialSummand.from_coefficients([0, 2])  # summand 2i
 # -------------------------------------------------------------- bernoulli
 
 
+# The Akiyama-Tanigawa triangle's last row, and the B_n read off it so far.
+_triangle: list[Fraction] = []
+_bernoulli_values: list[Fraction] = []
+
+
+def bernoulli(n):
+    """Exact Bernoulli number B_n with the B_1 = +1/2 convention: the
+    reference the Faulhaber rows are checked against.
+
+    Computed by the Akiyama-Tanigawa triangle, which yields this convention
+    directly.  The triangle grows by the rows it lacks.
+    """
+    for m in range(len(_bernoulli_values), n + 1):
+        _triangle.append(Fraction(1, m + 1))
+        for j in range(m, 0, -1):
+            _triangle[j - 1] = j * (_triangle[j - 1] - _triangle[j])
+        _bernoulli_values.append(_triangle[0])
+    return _bernoulli_values[n]
+
+
 def test_bernoulli_values():
     assert bernoulli(0) == 1
     assert bernoulli(1) == Fraction(1, 2)
     assert bernoulli(2) == Fraction(1, 6)
     assert bernoulli(3) == 0
     assert bernoulli(4) == Fraction(-1, 30)
+    assert bernoulli(12) == Fraction(-691, 2730)
+    assert bernoulli(30) == Fraction(8615841276005, 14322)
 
 
 def test_bernoulli_recurrence_oracle():
@@ -67,31 +88,6 @@ def test_bernoulli_recurrence_oracle():
     for n in range(12):
         total = sum(Fraction(comb(n + 1, j)) * bernoulli(j) for j in range(n + 1))
         assert total == n + 1
-
-
-def test_bernoulli_rejects_negative():
-    with pytest.raises(ValueError):
-        bernoulli(-1)
-
-
-def test_bernoulli_extends_its_triangle_instead_of_rebuilding_it(monkeypatch):
-    # Each triangle row starts from one new Fraction(1, m + 1); asking for
-    # B_0 .. B_39 in ascending order must make each row once, not rebuild
-    # the triangle for every new n.
-    made = []
-
-    def counted(*args):
-        made.append(args)
-        return Fraction(*args)
-
-    monkeypatch.setattr(summation, "_bernoulli_row", [])
-    monkeypatch.setattr(summation, "_bernoulli_values", [])
-    monkeypatch.setattr(summation, "Fraction", counted)
-    values = [bernoulli(n) for n in range(40)]
-    assert made == [(1, m + 1) for m in range(40)]
-    assert values[:5] == [1, Fraction(1, 2), Fraction(1, 6), 0, Fraction(-1, 30)]
-    assert values[30] == Fraction(8615841276005, 14322)
-    assert bernoulli(12) == Fraction(-691, 2730) and len(made) == 40
 
 
 # -------------------------------------------------------------- faulhaber
@@ -113,17 +109,45 @@ def test_faulhaber_at_the_infinite_count():
 
 
 def test_faulhaber_refuses_an_exponent_above_the_degree_cap(monkeypatch):
-    # refused before the first Bernoulli number, so at once however large j is
+    # refused before the row below is asked for or any lcm is taken, so at
+    # once however large j is
+    summation._row.cache_clear()
     made = []
-    real = summation.bernoulli
-    monkeypatch.setattr(summation, "bernoulli", lambda n: made.append(n) or real(n))
+    real = summation.lcm
+    monkeypatch.setattr(summation, "lcm", lambda *args: made.append(args) or real(*args))
     message = f"a polynomial summand has degree at most {MAX_SUMMAND_DEGREE}, not {MAX_SUMMAND_DEGREE + 1}"
     with pytest.raises(LimitExceeded, match=message):
         faulhaber(MAX_SUMMAND_DEGREE + 1, G1)
     assert made == []
+    assert summation._row.cache_info().misses == 1
     j = MAX_SUMMAND_DEGREE
     assert faulhaber(j, from_int(3)) == from_int(1 + 2**j + 3**j)
     assert faulhaber(j, G1).terms[0] == (Fraction(1, j + 1), from_int(j + 1))
+
+
+def test_faulhaber_rows_match_the_bernoulli_reference():
+    # Faulhaber's formula: S_j(t) = sum_r comb(j+1, r)*B_r*t^(j+1-r)/(j+1)
+    for j in range(MAX_SUMMAND_DEGREE + 1):
+        d, numerators = summation._row(j)
+        reference = [Fraction(0)] + [comb(j + 1, r) * bernoulli(r) / (j + 1) for r in range(j, -1, -1)]
+        assert [Fraction(n, d) for n in numerators] == reference
+        assert Fraction(numerators[1], d) == bernoulli(j)
+        assert gcd(d, *numerators) == 1
+
+
+def test_faulhaber_rows_are_built_once_each():
+    summation._row.cache_clear()
+    summation._row(MAX_SUMMAND_DEGREE)
+    assert summation._row.cache_info().misses == MAX_SUMMAND_DEGREE + 1
+    hits = summation._row.cache_info().hits
+    summation._row(50)
+    assert summation._row.cache_info().hits == hits + 1
+    assert summation._row.cache_info().misses == MAX_SUMMAND_DEGREE + 1
+
+
+def test_faulhaber_rejects_a_negative_exponent():
+    with pytest.raises(ValueError):
+        faulhaber(-1, G1)
 
 
 # --------------------------------------------------------- polynomial sums
