@@ -622,11 +622,11 @@ def test_single_term_divisor_always_divides_exactly():
     assert divide(x, G1, 3) == reference_divide(x, G1, 3)
 
 
-# ------------------------------------------------- power_int dense lane
+# --------------------------------------------------------------- power_int
 
 # Bases of 2 to 4 terms with distinct rational grosspowers (denominators
-# 1, 2 and 4) and nonzero coefficients of both signs: the dense lane's
-# inputs.
+# 1, 2 and 4) and nonzero coefficients of both signs: those of the dense
+# lane below.
 dense_lane_bases = st.lists(
     st.tuples(
         st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6)),
@@ -638,10 +638,36 @@ dense_lane_bases = st.lists(
 ).map(lambda pairs: normalize((c, from_rational(p)) for c, p in pairs))
 
 
+def reference_dense_power(x, n):
+    """x^n by J. C. P. Miller's recurrence on a dense list, the lane that
+    ``power_int`` once took over at most one basis element: with keys
+    ``K_0 > ... > K_{m-1}`` and g the gcd of the offsets ``K_0 - K_j``, x is
+    ``G1^{K_0}`` times ``sum a_i t^i`` in ``t = G1^{-g}``, of span
+    ``s = (K_0 - K_{m-1})/g``, and every position up to ``n*s`` is walked."""
+    codec, [(scale, xs)] = core._keyed((x.terms, n))
+    assert len(codec[0]) <= 1
+    top = xs[0][0]
+    g = gcd(*[top - k for k, _ in xs])
+    span = (top - xs[-1][0]) // g
+    a0 = xs[0][1]
+    tail = [((top - k) // g, a) for k, a in xs[1:]]
+    b = [a0**n]
+    for k in range(1, n * span + 1):
+        total = 0
+        for i, a in tail:
+            if i > k:
+                break
+            c = b[k - i]
+            if c:
+                total += ((n + 1) * i - k) * a * c
+        b.append(total // (k * a0))
+    return core._from_keyed(codec, [(n * top - k * g, Fraction(c, scale**n)) for k, c in enumerate(b) if c])
+
+
 @given(dense_lane_bases, st.integers(2, 12))
 def test_dense_power_matches_repeated_multiply(x, n):
     result = power_int(x, n)
-    assert result == reduce(multiply, [x] * n)
+    assert result == reduce(multiply, [x] * n) == reference_dense_power(x, n)
     assert hash(result) == hash(reduce(multiply, [x] * n))
 
 
@@ -652,11 +678,20 @@ def test_dense_power_binomial_coefficients():
     assert result.terms[-1].exponent is ZERO
 
 
-def test_wide_span_power_takes_squaring():
+def test_wide_span_power_matches_reference():
     x = 1 + G1_INV + monomial(1, -1000000)
-    _, [(_, xs)] = core._keyed((x.terms, 3))
-    assert core._dense_power(xs, 3) is None
     assert power_int(x, 3) == reference_multiply(reference_multiply(x, x), x)
+    assert power_int(x, 40) == reduce(reference_multiply, [x] * 40)
+
+
+def test_power_with_a_cancelled_coefficient_matches_reference():
+    # x^5 has no G1 term: the recurrence reaches that position from the
+    # G1^2 term, which is nonzero, and must find 0 there
+    x = monomial(1, 3) - monomial(3, 2) - 1
+    result = power_int(x, 5)
+    assert result == reduce(reference_multiply, [x] * 5)
+    assert len(result.terms) == 15
+    assert from_int(1) not in [t.exponent for t in result.terms]
 
 
 def test_nested_base_power_matches_reference():
@@ -692,16 +727,26 @@ def test_packed_keys_multiply_and_divide_match_reference(x, y):
         assert divide(x, y, budget) == reference_divide(x, y, budget)
 
 
-@given(packed_numbers, st.integers(2, 6))
+@given(packed_numbers, st.integers(2, 8))
 def test_packed_keys_power_matches_repeated_multiply(x, n):
     assert power_int(x, n) == reduce(reference_multiply, [x] * n)
 
 
-def test_one_inner_exponent_base_takes_the_dense_lane():
+def test_power_over_three_basis_elements_matches_reference():
+    x = monomial(1, G1) + monomial(1, monomial(1, 2)) + G1 + 2
+    codec, _ = core._keyed((x.terms, 12))
+    assert len(codec[0]) == 3
+    result = power_int(x, 12)
+    assert result == reduce(reference_multiply, [x] * 12)
+    # every coefficient is positive, so nothing cancels: one term for each
+    # monomial of degree 12 in four unknowns
+    assert len(result.terms) == comb(15, 3)
+
+
+def test_one_inner_exponent_base_power_matches_reference():
     x = monomial(1, 2 * G1) + monomial(3, G1) + 1
-    codec, [(_, xs)] = core._keyed((x.terms, 7))
+    codec, _ = core._keyed((x.terms, 7))
     assert len(codec[0]) == 1
-    assert core._dense_power(xs, 7) is not None
     assert power_int(x, 7) == reduce(multiply, [x] * 7) == reduce(reference_multiply, [x] * 7)
 
 
@@ -855,13 +900,15 @@ def test_polynomial_product_matches_pairwise_reference(left, right, n):
 
 
 @pytest.mark.parametrize("left, right, n", [
-    ([ONE], [G1 + G1_INV, ONE], 30),  # one basis element: the dense lane
-    ([ONE, G1], [monomial(1, G1 + 1) + monomial(1, monomial(1, 2)), ONE], 6),  # two: squaring
+    ([ONE], [G1 + G1_INV, ONE], 30),  # one basis element: the recurrence
+    ([ONE, G1], [monomial(1, G1 + 1) + monomial(1, monomial(1, 2)), ONE], 6),  # two: the recurrence
     ([ONE], [ONE, monomial(2, Fraction(1, 2))], 5),  # every grosspower finite
     ([from_int(3)], [ZERO, ZERO, G1 - 1], 4),  # a monomial in the index
     ([G1 + 1, ZERO, from_int(-2)], [ONE, from_int(2)], 1),
     ([ZERO, ZERO], [G1, ONE], 3),
     ([G1 - 1], [ZERO, ZERO], 2),
+    ([G1 - 1], [ZERO, ZERO], 5),  # above n = 4, _raised is handed no terms
+    ([ONE, G1], [monomial(1, G1 + 1) + monomial(1, monomial(1, 2)), ONE], 4),  # two: products
 ])
 def test_polynomial_product_lanes_match_reference(left, right, n):
     assert polynomial_product(left, right, n) == reference_polynomial_product(left, right, n)
