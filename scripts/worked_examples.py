@@ -29,18 +29,14 @@ from grossone.setcalc import (
     ProbabilityModel,
     affine_image,
     classify_event,
-    count,
     event_extent,
-    hotel_shift,
     member,
-    probability,
     remove_one,
     tuple_space_count,
 )
 from grossone.summation import (
     PolynomialSummand,
     sum_alternating_polynomial,
-    sum_alternating_unit,
     sum_polynomial,
 )
 
@@ -76,10 +72,11 @@ def main() -> None:
     show("remainder", result.remainder)
 
     print("\nSums need an explicit number of items, finite or infinite")
+    unit = PolynomialSummand.from_coefficients([1])
     identity = PolynomialSummand.from_coefficients([0, 1])
     show("1 + 2 + ... up to G1 items", sum_polynomial(identity, G1))
-    show("1 - 1 + 1 - ... with 2*G1 items", sum_alternating_unit(2 * G1))
-    show("1 - 1 + 1 - ... with 2*G1 - 1 items", sum_alternating_unit(2 * G1 - 1))
+    show("1 - 1 + 1 - ... with 2*G1 items", sum_alternating_polynomial(unit, 2 * G1))
+    show("1 - 1 + 1 - ... with 2*G1 - 1 items", sum_alternating_polynomial(unit, 2 * G1 - 1))
     show("1 - 2 + 3 - ... with G1 items", sum_alternating_polynomial(identity, G1))
     show("1 - 2 + 3 - ... with G1 + 1 items", sum_alternating_polynomial(identity, G1 + 1))
 
@@ -99,22 +96,22 @@ def main() -> None:
         show(expr, evaluate(parse_expression(expr), env))
 
     print("\nCounting infinite sets, where the part stays smaller than the whole")
-    show("elements of the naturals N", count(NATURALS))
-    show("elements of the even naturals E", count(EVEN_NATURALS))
+    show("elements of the naturals N", NATURALS.count)
+    show("elements of the even naturals E", EVEN_NATURALS.count)
     show("elements of N without one member", remove_one(NATURALS, from_int(17)))
     doubled = affine_image(NATURALS, Fraction(2))
-    show("elements of the image y = 2x of N", count(doubled))
+    show("elements of the image y = 2x of N", doubled.count)
     show("last element of that image", doubled.last)
     show("is G1/2 a natural number", str(member(scalar_mul(Fraction(1, 2), G1), NATURALS)).lower())
     show("is G1 + 2 a natural number", str(member(G1 + 2, NATURALS)).lower())
     show("G1-tuples over N", tuple_space_count(G1, G1))
-    shift = hotel_shift(G1)
-    show("full hotel with G1 rooms absorbs a guest", str(shift.accommodated).lower())
+    # the guest of the last room would need room G1 + 1, which does not exist
+    show("full hotel with G1 rooms absorbs a guest", str(member(G1 + 1, NATURALS)).lower())
 
     print("\nOnly the impossible event has probability zero")
     for favorable in (ZERO, from_int(1), G1):
         model = ProbabilityModel(power_int(G1, 2), favorable)
-        parts = [print_canonical(probability(model)), classify_event(model).value]
+        parts = [print_canonical(Env().divide(favorable, model.total)), classify_event(model).value]
         if favorable != ZERO:
             parts.append(event_extent(favorable).value)
         show(f"P with {print_canonical(favorable)} of G1^2 outcomes", ", ".join(parts))

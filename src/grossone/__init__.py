@@ -14,7 +14,6 @@ from .core import (
     NumClass,
     ONE,
     Parity,
-    Rational,
     ZERO,
     add,
     as_gross,
@@ -27,7 +26,6 @@ from .core import (
     finite_part,
     from_int,
     from_rational,
-    has_infinite_part,
     has_infinitesimal_part,
     is_integer_like,
     monomial,
@@ -37,7 +35,6 @@ from .core import (
     parity,
     power_gross,
     power_int,
-    reciprocal,
     scalar_mul,
     sign,
     subtract,

@@ -53,14 +53,11 @@ from .errors import (
     ZeroToNonpositivePower,
 )
 
-# Grossdigits are exact arbitrary-precision rationals; the stdlib Fraction
-# already maintains gcd(|num|, den) = 1, den > 0 and zero as 0/1.
-Rational = Fraction
-
 RationalLike = Union[int, Fraction]
 GrossLike = Union["GrossNumber", int, Fraction]
 
-#: Term budget used by exact_divide / ``/`` when none is given explicitly.
+#: Quotient terms ``divide`` emits when given no budget, and so the terms
+#: ``exact_divide`` and ``/`` try before they call a division inexact.
 DEFAULT_DIV_TERMS = 20
 
 #: Deepest brace nesting of a numeral, parsed or made.  Ring operations nest
@@ -179,9 +176,15 @@ class GrossNumber:
         return bool(self.terms)
 
     def __repr__(self) -> str:
+        """The canonical text, or a fixed placeholder when a coefficient is
+        too long to print, so that an error message never fails to build;
+        ``numio.print_canonical`` raises instead."""
         from .numio import print_canonical  # deferred: numio imports core
 
-        return print_canonical(self)
+        try:
+            return print_canonical(self)
+        except LimitExceeded:
+            return "<a value too long to print>"
 
     __str__ = __repr__
 
@@ -672,9 +675,7 @@ def power_gross(x: GrossNumber, k: GrossNumber) -> GrossNumber:
         raise ZeroToNonpositivePower("0 cannot be raised to a non-positive power")
     if len(x.terms) == 1 and x.terms[0].coefficient == 1:
         return monomial(1, multiply(x.terms[0].exponent, k))
-    raise UnsupportedExponentiation(
-        f"cannot represent ({_shown(x)})^({_shown(k)}) as a finite positional numeral"
-    )
+    raise UnsupportedExponentiation(f"cannot represent ({x})^({k}) as a finite positional numeral")
 
 
 # ----------------------------------------------------------------- division
@@ -764,33 +765,20 @@ def _over_cap(max_terms: int) -> LimitExceeded:
     return LimitExceeded(f"a division may emit at most {MAX_DIV_TERMS} quotient terms, not {max_terms}")
 
 
-def exact_divide(x: GrossNumber, y: GrossNumber, max_terms: int = DEFAULT_DIV_TERMS) -> GrossNumber:
+def exact_divide(x: GrossNumber, y: GrossNumber) -> GrossNumber:
     """x / y, or InexactDivision when ``divide`` leaves a remainder within
-    ``max_terms`` quotient terms.  A single-term divisor always divides
-    exactly, whatever the length of x: the quotient is x times ``y^-1``,
-    through ``multiply``, with no budget."""
+    ``DEFAULT_DIV_TERMS`` quotient terms.  A single-term divisor always
+    divides exactly, whatever the length of x: the quotient is x times
+    ``y^-1``, through ``multiply``, with no budget."""
     if len(y.terms) == 1:
         return multiply(x, power_int(y, -1))
-    result = divide(x, y, max_terms)
+    result = divide(x, y)
     if not result.exact:
         raise InexactDivision(
-            f"({_shown(x)}) / ({_shown(y)}) leaves remainder {_shown(result.remainder)} "
+            f"({x}) / ({y}) leaves remainder {result.remainder} "
             f"after {result.terms_emitted} quotient terms"
         )
     return result.quotient
-
-
-def _shown(x: GrossNumber) -> str:
-    """x as printed, or a fixed placeholder when a coefficient is too long
-    to print, so that an error message never fails to build."""
-    try:
-        return repr(x)
-    except LimitExceeded:
-        return "<a value too long to print>"
-
-
-def reciprocal(x: GrossNumber, max_terms: int = DEFAULT_DIV_TERMS) -> DivResult:
-    return divide(ONE, x, max_terms)
 
 
 # ----------------------------------------------------------- classification
@@ -817,10 +805,6 @@ def finite_part(x: GrossNumber) -> GrossNumber:
     return ZERO
 
 
-def has_infinite_part(x: GrossNumber) -> bool:
-    return bool(x.terms) and sign(x.terms[0].exponent) > 0
-
-
 def has_infinitesimal_part(x: GrossNumber) -> bool:
     return bool(x.terms) and sign(x.terms[-1].exponent) < 0
 
@@ -845,7 +829,7 @@ def parity(x: GrossNumber) -> Parity:
     """
     finite = as_rational(finite_part(x))
     if finite.denominator != 1:
-        raise ParityUndefined(f"{_shown(x)} has a non-integer finite part")
+        raise ParityUndefined(f"{x} has a non-integer finite part")
     if has_infinitesimal_part(x):
-        raise ParityUndefined(f"{_shown(x)} has an infinitesimal part")
+        raise ParityUndefined(f"{x} has an infinitesimal part")
     return Parity.EVEN if finite % 2 == 0 else Parity.ODD

@@ -41,7 +41,6 @@ from .setcalc import (
     NATURALS,
     ProgressionSet,
     affine_image,
-    count,
     member,
     product_count,
 )
@@ -192,7 +191,7 @@ def _call(ast: Call, env: Env) -> Value:
         return member(evaluate(args[0], env), _set(evaluate_value(args[1], env), args[1]))
     source = _set(evaluate_value(args[0], env), args[0])
     if name == "count":
-        return count(source)
+        return source.count
     return affine_image(
         source, _rational(evaluate(args[1], env), "scale"), _rational(evaluate(args[2], env), "offset")
     )
@@ -240,7 +239,7 @@ def apply_function(fn: PiecewiseDef, argument: GrossNumber, env: Env) -> GrossNu
                 return evaluate(branch.body, env.bind(fn.param, argument))
     finally:
         _call_levels.reset(token)
-    raise NoBranchMatched(f"no branch of {fn.param}-piecewise function matches {core._shown(argument)}")
+    raise NoBranchMatched(f"no branch of {fn.param}-piecewise function matches {argument}")
 
 
 def make_function(definition: PiecewiseDef, env: Env) -> PiecewiseDef:

@@ -7,9 +7,10 @@ with count G1, and every affine image keeps the count of its source.
 Membership, subset checks and element counts are all decided exactly.
 
 The probability model is counting at a chosen resolution: a sample space
-of K elementary events and m favorable ones give P = m/K, which is a
-positive infinitesimal whenever m is finite and K infinite.  Only the
-impossible event has probability zero.
+of K elementary events and m favorable ones give P = m/K, divided as any
+quotient is, by ``evaluator.Env.divide``.  P is a positive infinitesimal
+whenever m is finite and K infinite.  Only the impossible event has
+probability zero.
 """
 
 from __future__ import annotations
@@ -77,10 +78,6 @@ def finite_set(lo: int, hi: int) -> ProgressionSet:
     return ProgressionSet(from_int(lo), Fraction(1), from_int(hi - lo + 1))
 
 
-def count(s: ProgressionSet) -> GrossNumber:
-    return s.count
-
-
 def _index_of(x: GrossNumber, s: ProgressionSet) -> GrossNumber:
     return scalar_mul(1 / s.step, x - s.start) + 1
 
@@ -104,14 +101,14 @@ def affine_image(s: ProgressionSet, a: Fraction, b: Fraction = Fraction(0)) -> P
 def remove_one(s: ProgressionSet, x: GrossLike) -> GrossNumber:
     """Element count after removing a member: count - 1."""
     if not member(x, s):
-        raise NotAMember(f"{core._shown(as_gross(x))} is not an element of the set")
+        raise NotAMember(f"{as_gross(x)} is not an element of the set")
     return s.count - 1
 
 
 def add_one(s: ProgressionSet, x: GrossLike) -> GrossNumber:
     """Element count after adjoining a non-member: count + 1."""
     if member(x, s):
-        raise AlreadyMember(f"{core._shown(as_gross(x))} is already an element of the set")
+        raise AlreadyMember(f"{as_gross(x)} is already an element of the set")
     return s.count + 1
 
 
@@ -161,25 +158,6 @@ def proper_subset_strictly_smaller(a: ProgressionSet, b: ProgressionSet) -> bool
     return compare(a.count, b.count) < 0
 
 
-@dataclass(frozen=True)
-class HotelShift:
-    accommodated: bool
-    evicted_room: GrossNumber
-
-
-def hotel_shift(rooms: GrossLike) -> HotelShift:
-    """Move every guest of a full hotel up one room to free room 1.
-
-    The guest of the last room would need room rooms+1, which does not
-    exist, so with no guest allowed to leave nobody new fits: a full hotel
-    stays full whether its room count is finite or infinite.
-    """
-    rooms = as_gross(rooms)
-    if not is_integer_like(rooms) or core.sign(rooms) <= 0:
-        raise InvalidProgression("room count must be a positive integer-like gross-number")
-    return HotelShift(accommodated=False, evicted_room=rooms)
-
-
 # -------------------------------------------------------------- probability
 
 
@@ -212,12 +190,6 @@ class ProbabilityModel:
             raise InvalidModel("the favorable count cannot be negative")
         if compare(self.favorable, self.total) > 0:
             raise InvalidModel("the favorable count cannot exceed the sample space")
-
-
-def probability(model: ProbabilityModel) -> GrossNumber:
-    """P = favorable/total, exactly; infinitesimal when the favorable count
-    is finite and the sample space infinite."""
-    return core.exact_divide(model.favorable, model.total)
 
 
 def classify_event(model: ProbabilityModel) -> EventClass:

@@ -99,11 +99,6 @@ def sum_polynomial(p: PolynomialSummand, k: GrossNumber) -> GrossNumber:
     return core.polynomial_at(p.coefficients, [_row(j) for j in range(len(p.coefficients))], as_gross(k))
 
 
-def sum_alternating_unit(k: GrossNumber) -> GrossNumber:
-    """Sum of k items +1 -1 +1 -1 ...: 0 when k is even, 1 when odd."""
-    return ZERO if core.parity(as_gross(k)) is Parity.EVEN else ONE
-
-
 def sum_alternating_polynomial(p: PolynomialSummand, k: GrossNumber) -> GrossNumber:
     """Sum of (-1)^(i+1) * p(i) for i = 1..k.
 
@@ -167,7 +162,7 @@ def sum_expression(
     UnsupportedSummand otherwise.
     """
     if core.sign(k) < 0:
-        raise EvalError(f"an item count is a non-negative integer, not {core._shown(k)}")
+        raise EvalError(f"an item count is a non-negative integer, not {k}")
     try:
         core.parity(k)
     except ParityUndefined as exc:

@@ -1,15 +1,19 @@
 """The README's examples, run as written: each ``grossone ... # -> out``
-line of the CLI block, and the REPL block as one session; and the output
-of ``scripts/worked_examples.py``, pinned in ``fixtures/worked_examples.txt``."""
+line of the CLI block, and the REPL block as one session; the output of
+``scripts/worked_examples.py``, pinned in ``fixtures/worked_examples.txt``;
+and the README's list of public names, against the modules."""
 
+import ast
 import os
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
 
 import pytest
 
+import grossone
 from grossone.cli import main
 
 ROOT = pathlib.Path(__file__).parent.parent
@@ -67,3 +71,29 @@ def test_worked_examples_print_their_pinned_output():
     )
     expected = (ROOT / "tests" / "fixtures" / "worked_examples.txt").read_text(encoding="utf-8")
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", expected)
+
+
+def _defined_names(module: str) -> set[str]:
+    """The names a module's top level defines, by def, class or assignment."""
+    tree = ast.parse((ROOT / "src" / "grossone" / f"{module}.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_readme_lists_the_public_surface():
+    section = README.split("\n## Public surface\n")[1].split("\n## ")[0]
+    listed = {}
+    for bullet in re.split(r"\n- ", section)[1:]:
+        module, *names = re.findall(r"`([^`]+)`", bullet)
+        listed[module] = set(names)
+    modules = sorted(p.stem for p in (ROOT / "src" / "grossone").glob("*.py") if p.stem != "__init__")
+    expected = {"grossone": set(grossone.__all__)}
+    for module in modules:
+        expected[f"grossone.{module}"] = {n for n in _defined_names(module) if not n.startswith("_")}
+    assert listed == expected

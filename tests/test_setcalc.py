@@ -22,12 +22,14 @@ from grossone.core import (
 )
 from grossone.errors import (
     AlreadyMember,
+    InexactDivision,
     InvalidModel,
     InvalidProgression,
     NotAMember,
     NotASubset,
     UnsupportedExponentiation,
 )
+from grossone.evaluator import Env
 from grossone.setcalc import (
     EVEN_NATURALS,
     EventClass,
@@ -38,12 +40,9 @@ from grossone.setcalc import (
     add_one,
     affine_image,
     classify_event,
-    count,
     event_extent,
     finite_set,
-    hotel_shift,
     member,
-    probability,
     product_count,
     proper_subset_strictly_smaller,
     remove_one,
@@ -58,9 +57,9 @@ HALF_G1 = scalar_mul(Fraction(1, 2), G1)
 
 
 def test_counts():
-    assert count(NATURALS) == G1
-    assert count(EVEN_NATURALS) == HALF_G1
-    assert count(finite_set(1, 5)) == from_int(5)
+    assert NATURALS.count == G1
+    assert EVEN_NATURALS.count == HALF_G1
+    assert finite_set(1, 5).count == from_int(5)
 
 
 def test_progression_validation():
@@ -99,7 +98,7 @@ def test_doubling_the_naturals_keeps_the_count():
     image = affine_image(NATURALS, Fraction(2))
     assert image.start == from_int(2)
     assert image.step == 2
-    assert count(image) == G1
+    assert image.count == G1
     assert image.last == 2 * G1
     assert member(2 * G1, image)
     assert member(G1 + 2, image)
@@ -111,14 +110,14 @@ def test_finite_shift_image():
     image = affine_image(finite_set(1, 5), Fraction(1), Fraction(1))
     assert image.start == from_int(2)
     assert image.last == from_int(6)
-    assert count(image) == from_int(5)
+    assert image.count == from_int(5)
 
 
 def test_halving_the_even_numbers():
     image = affine_image(EVEN_NATURALS, Fraction(1, 2))
     assert image.start == ONE
     assert image.step == 1
-    assert count(image) == HALF_G1
+    assert image.count == HALF_G1
     # brute agreement on a finite prefix: the halved evens are 1, 2, 3, ...
     for even in range(2, 32, 2):
         assert member(from_rational(Fraction(even, 2)), image)
@@ -136,9 +135,9 @@ def test_halving_the_even_numbers():
 )
 def test_affine_image_always_preserves_count(start, step, n, a, b):
     source = ProgressionSet(from_int(start), step, from_int(n))
-    assert count(affine_image(source, a, b)) == count(source)
+    assert affine_image(source, a, b).count == source.count
     gross_source = ProgressionSet(from_int(start), step, GROSSONE)
-    assert count(affine_image(gross_source, a, b)) == GROSSONE
+    assert affine_image(gross_source, a, b).count == GROSSONE
 
 
 def test_affine_image_requires_invertible_map():
@@ -233,27 +232,25 @@ def test_gross_nested_progression():
 
 
 def test_full_hotel_cannot_absorb_a_new_guest():
-    shift = hotel_shift(G1)
-    assert shift.accommodated is False
-    assert shift.evicted_room == G1
-    # the room the last guest would need does not exist
+    # every guest moves up one room to free room 1; the last guest would
+    # need room G1 + 1, which does not exist, so nobody new fits
+    assert member(G1, NATURALS)
+    assert not member(G1 + 1, NATURALS)
     assert not member(G1 + 1, ProgressionSet(ONE, Fraction(1), G1))
 
 
 def test_finite_hotel_behaves_the_same():
-    shift = hotel_shift(from_int(10))
-    assert shift.accommodated is False
-    assert shift.evicted_room == from_int(10)
-
-
-def test_hotel_validation():
-    with pytest.raises(InvalidProgression):
-        hotel_shift(ZERO)
-    with pytest.raises(InvalidProgression):
-        hotel_shift(monomial(1, -1))
+    rooms = finite_set(1, 10)
+    assert member(10, rooms)
+    assert not member(11, rooms)
 
 
 # -------------------------------------------------------------- probability
+
+
+def probability(model, env=Env()):
+    """P = favorable/total, divided as ``grossone prob`` divides it."""
+    return env.divide(model.favorable, model.total)
 
 
 def test_point_events_have_infinitesimal_probability():
@@ -315,6 +312,15 @@ def test_probability_bounds():
         assert ZERO <= p <= ONE
         assert (p == ZERO) == (favorable == ZERO)
         assert (p == ONE) == (favorable == G1)
+
+
+def test_probability_honours_a_division_budget():
+    model = ProbabilityModel(G1 + 1, ONE)
+    with pytest.raises(InexactDivision):
+        probability(model)
+    truncated = probability(model, Env(div_max_terms=3))
+    assert truncated == monomial(1, -1) - monomial(1, -2) + monomial(1, -3)
+    assert classify_event(model) is EventClass.INFINITESIMAL_PROBABILITY
 
 
 def test_model_validation():

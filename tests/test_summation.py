@@ -32,7 +32,6 @@ from grossone.summation import (
     PolynomialSummand,
     faulhaber,
     sum_alternating_polynomial,
-    sum_alternating_unit,
     sum_finite_generic,
     sum_polynomial,
     summand_polynomial,
@@ -221,15 +220,15 @@ def test_a_closed_form_substitutes_the_count_once(monkeypatch, text):
 
 
 def test_alternating_unit_counts():
-    assert sum_alternating_unit(2 * G1) == ZERO
-    assert sum_alternating_unit(2 * G1 - 1) == ONE
-    assert sum_alternating_unit(from_int(5)) == ONE
-    assert sum_alternating_unit(from_int(0)) == ZERO
+    assert sum_alternating_polynomial(UNIT, 2 * G1) == ZERO
+    assert sum_alternating_polynomial(UNIT, 2 * G1 - 1) == ONE
+    assert sum_alternating_polynomial(UNIT, from_int(5)) == ONE
+    assert sum_alternating_polynomial(UNIT, from_int(0)) == ZERO
 
 
 def test_alternating_unit_needs_parity():
     with pytest.raises(ParityUndefined):
-        sum_alternating_unit(G1 + monomial(1, -1))
+        sum_alternating_polynomial(UNIT, G1 + monomial(1, -1))
 
 
 def test_sum_expression_refuses_a_count_that_is_not_a_non_negative_integer():
