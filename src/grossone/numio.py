@@ -13,13 +13,17 @@ numeral.  A bare coefficient means ``c*G1^0``; a bare ``G1`` means
 ``1*G1^1``.  ``integer '/' integer`` may have spaces around the slash.
 
 Expressions add variables, calls, parentheses and operators with
-precedence ``^`` (right-associative) over unary minus over ``* /`` over
+precedence ``^`` (right-associative) over unary ``+ -`` over ``* /`` over
 ``+ -`` over comparisons.  After ``^`` a braced group is allowed, so
-``G1^{-1}`` works the same in literals and expressions.
+``G1^{-1}`` works the same in literals and expressions.  An operand that
+is a whole numeral (all of an expression, a side of a comparison, a
+``( )`` group or a call argument, not followed by ``* / ^``) is read as
+one literal, not as a computation, and has the same value.
 
 Input nests at most ``core.MAX_NESTING`` levels, as values do: ``(``, a
-call's arguments, ``{``, the operand of unary minus and the right operand
-of ``^`` each open one (``^{`` opens one).  ``+ - * /`` chains do not nest.
+call's arguments, ``{``, the operand of unary ``+ -`` and the right operand
+of ``^`` each open one (``^{`` opens one); a numeral read whole counts only
+its braces.  ``+ - * /`` chains do not nest.
 
 Statements (one per line in session scripts; '#' starts a comment)::
 
@@ -184,6 +188,8 @@ def operator_chain(ast: Ast) -> tuple[Ast, list[tuple[str, Ast]]]:
 _RELATIONS = frozenset({"<", "<=", "=", ">=", ">"})
 
 _G1_LITERAL = Literal(core.GROSSONE)
+_NUMERAL_STARTS = frozenset({"number", "G1", "+", "-"})
+_NOT_AFTER_NUMERAL = frozenset({"*", "/", "^"})
 _FRACTION_ONE = Fraction(1)
 
 
@@ -333,12 +339,27 @@ class _Parser:
     # -- expressions, loosest binding first
 
     def compare(self) -> Ast:
-        left = self.additive()
+        left = self.numeral()
         relation = self.tokens[self.index].kind
         if relation not in _RELATIONS:
             return left
         self.index += 1
-        return Compare(relation, left, self.additive())
+        return Compare(relation, left, self.numeral())
+
+    def numeral(self) -> Ast:
+        """The operand as one Literal when ``literal()`` reads it and no ``*
+        / ^`` follows; else the same tokens read again by ``additive()``, so
+        an operand that is not a numeral keeps its tree and its errors."""
+        index, depth = self.index, self.depth
+        if self.tokens[index].kind in _NUMERAL_STARTS:
+            try:
+                value = self.literal()
+                if self.tokens[self.index].kind not in _NOT_AFTER_NUMERAL:
+                    return Literal(value)
+            except ParseError:
+                pass
+            self.index, self.depth = index, depth
+        return self.additive()
 
     def additive(self) -> Ast:
         left = self.multiplicative()
@@ -357,13 +378,16 @@ class _Parser:
         return left
 
     def unary(self) -> Ast:
-        """Unary minus, or an atom with an optional ``^`` exponent, which is
-        a braced expression or, right-associatively, another unary."""
+        """Unary ``+ -`` (``+`` leaves no node), or an atom with an optional
+        ``^`` exponent, which is a braced expression or, right-associatively,
+        another unary."""
         self.nest()
         tokens = self.tokens
-        if tokens[self.index].kind == "-":
+        sign = tokens[self.index].kind
+        if sign == "-" or sign == "+":
             self.index += 1
-            ast: Ast = Unary("-", self.unary())
+            operand = self.unary()
+            ast: Ast = Unary("-", operand) if sign == "-" else operand
         else:
             ast = self.atom()
             if tokens[self.index].kind == "^":

@@ -10,9 +10,9 @@ import time
 import pytest
 
 from grossone.cli import main
-from grossone.core import GROSSONE, MAX_DIV_TERMS, ONE, ZERO, divide, power_int
+from grossone.core import GROSSONE, MAX_DIV_TERMS, ONE, ZERO, divide, monomial, power_int
 from grossone.evaluator import Env
-from grossone.numio import parse_expression, parse_number
+from grossone.numio import parse_expression, parse_number, print_canonical
 from grossone.summation import sum_finite_generic
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -42,6 +42,21 @@ def test_eval_division_by_zero(capsys):
     assert code == 3
     assert out == ""
     assert "division by zero" in err
+
+
+@pytest.mark.parametrize(
+    "expression, result",
+    [
+        ("(1.5/2)", (0, "0.75\n", "")),
+        ("(1/0)", (3, "", "error: division by zero\n")),
+        ("G1^{+2}", (0, "G1^{2}\n", "")),
+        ("+2", (0, "2\n", "")),
+        ("x^{+2}", (3, "", "error: unbound name x\n")),
+    ],
+)
+def test_eval_numeral_like_operands(capsys, expression, result):
+    # a slash that is no integer fraction is a division; unary + is allowed
+    assert run(capsys, "eval", expression) == result
 
 
 def test_eval_syntax_error(capsys):
@@ -499,6 +514,20 @@ def test_repl_values_stay_reparseable(tmp_path, capsys):
     assert err == f"{script}:102: the result would print nested deeper than 100 braces\n"
     assert out.count("{") == 100
     assert run(capsys, "eval", out.strip()) == (0, out, "")
+
+
+def test_printed_negative_grosspowers_100_braces_deep_read_back(tmp_path, capsys):
+    # read whole, a numeral nests one level per brace; as an expression each
+    # "^{-" would open two, one for the brace and one for the minus
+    value = monomial(1, -1)
+    for _ in range(99):
+        value = monomial(1, -value)
+    text = print_canonical(value)
+    assert text.count("{") == 100
+    assert run(capsys, "eval", text) == (0, text + "\n", "")
+    script = tmp_path / "deep.txt"
+    script.write_text(f"let a = {text}\na\n", encoding="utf-8")
+    assert run(capsys, "repl", "--script", str(script)) == (0, text + "\n", "")
 
 
 def test_repl_long_tower_of_lets_is_not_a_traceback(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Direct evaluation of expressions and piecewise functions at infinite and
 infinitesimal points."""
 
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -36,10 +37,18 @@ from grossone.evaluator import (
     evaluate_compare,
     exec_statement,
 )
-from grossone.numio import Branch, Literal, PiecewiseDef, parse_expression, parse_statement
+from grossone.numio import (
+    Branch,
+    Literal,
+    PiecewiseDef,
+    parse_expression,
+    parse_number,
+    parse_statement,
+    print_canonical,
+)
 from grossone.setcalc import NATURALS, affine_image
 
-from support import small_rationals
+from support import gross_numbers, small_rationals
 
 G1 = GROSSONE
 
@@ -365,3 +374,25 @@ def test_referential_transparency(example_env):
     first = evaluate(ast, example_env)
     second = evaluate(ast, example_env)
     assert first == second and first is not None
+
+
+_COEFFICIENT = re.compile(r"(?<!G)[0-9]+(?:\.[0-9]+)?(?:/[0-9]+)?")
+
+
+def _as_fractions(numeral: str) -> str:
+    """The numeral with every coefficient written integer/integer."""
+    return _COEFFICIENT.sub(lambda m: "{0.numerator}/{0.denominator}".format(Fraction(m[0])), numeral)
+
+
+# braces nest at most 3 deep, so the u form, which opens two levels for
+# "^{-", stays well inside the nesting limit
+@given(gross_numbers(max_depth=3))
+def test_a_numeral_reads_whole_to_the_value_of_its_expression(x):
+    printed = print_canonical(x)
+    for spelling in (printed, _as_fractions(printed)):
+        for text in (spelling, "+" + spelling.removeprefix("-"), "-" + spelling.removeprefix("-")):
+            value = parse_number(text)
+            assert parse_expression(text) == Literal(value)
+            # a name bound to G1 sends every term through the operators
+            expression = parse_expression(text.replace("G1", "u"))
+            assert evaluate(expression, Env().bind("u", GROSSONE)) == value

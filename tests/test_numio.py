@@ -266,9 +266,53 @@ def test_parse_expression_call_tree():
 
 
 def test_parse_expression_binary():
+    # a numeral in parentheses is one literal; a sum of a name is an operator
     ast = parse_expression("(G1 - 1) * (G1 + 1)")
     assert isinstance(ast, Binary) and ast.op == "*"
+    assert ast.left == Literal(G1 - 1)
+    ast = parse_expression("(x - 1) * (x + 1)")
+    assert isinstance(ast, Binary) and ast.op == "*"
     assert isinstance(ast.left, Binary) and ast.left.op == "-"
+
+
+@pytest.mark.parametrize(
+    "text, ast",
+    [
+        ("G1^{2} - 2*G1 + 0.5", Literal(G1**2 - 2 * G1 + Fraction(1, 2))),
+        ("-1/3*G1^{-G1}", Literal(scalar_mul(Fraction(-1, 3), monomial(1, -G1)))),
+        ("+2", Literal(from_int(2))),
+        ("(G1 + 1)", Literal(G1 + 1)),
+        ("f(1/2, G1)", Call("f", (Literal(from_rational(Fraction(1, 2))), Literal(G1)))),
+        ("G1^{-1} > -G1^{-2}", Compare(">", Literal(monomial(1, -1)), Literal(-monomial(1, -2)))),
+    ],
+)
+def test_a_whole_numeral_operand_is_one_literal(text, ast):
+    assert parse_expression(text) == ast
+
+
+@pytest.mark.parametrize(
+    "text, shape",
+    [
+        ("-2^2", Unary("-", Binary("^", Literal(from_int(2)), Literal(from_int(2))))),
+        ("(1.5/2)", Binary("/", Literal(from_rational(Fraction(3, 2))), Literal(from_int(2)))),
+        ("(1/0)", Binary("/", Literal(ONE), Literal(ZERO))),
+        ("G1^2", Binary("^", Literal(G1), Literal(from_int(2)))),
+        ("(2*G1 * 3)", Binary("*", Binary("*", Literal(from_int(2)), Literal(G1)), Literal(from_int(3)))),
+        ("1 + 2*x", Binary("+", Literal(ONE), Binary("*", Literal(from_int(2)), Var("x")))),
+    ],
+)
+def test_an_operand_followed_by_an_operator_keeps_the_expression_path(text, shape):
+    assert parse_expression(text) == shape
+
+
+def test_unary_plus_leaves_no_node():
+    assert parse_expression("x^{+2}") == Binary("^", Var("x"), Literal(from_int(2)))
+    assert parse_expression("+x") == Var("x")
+    assert parse_expression("1 + +x") == Binary("+", Literal(ONE), Var("x"))
+    assert parse_expression("-+x") == Unary("-", Var("x"))
+    with pytest.raises(ParseError) as err:
+        parse_expression("+")
+    assert (err.value.column, err.value.message) == (2, "expected an expression")
 
 
 def test_parse_expression_incomplete():
