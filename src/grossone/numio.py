@@ -17,8 +17,12 @@ precedence ``^`` (right-associative) over unary ``+ -`` over ``* /`` over
 ``+ -`` over comparisons.  After ``^`` a braced group is allowed, so
 ``G1^{-1}`` works the same in literals and expressions.  An operand that
 is a whole numeral (all of an expression, a side of a comparison, a
-``( )`` group or a call argument, not followed by ``* / ^``) is read as
-one literal, not as a computation, and has the same value.
+``( )`` group, a call argument, a ``def`` body, a branch body or a
+breakpoint, not followed by ``* / ^``) is read as one literal, not as a
+computation, and has the same value.  A numeral is read in one loop over
+its terms; when they already strictly decrease and none has a zero
+coefficient, they are the value as they stand, and only otherwise does
+``core.normalize`` merge and sort them.
 
 Input nests at most ``core.MAX_NESTING`` levels, as values do: ``(``, a
 call's arguments, ``{``, the operand of unary ``+ -`` and the right operand
@@ -36,11 +40,15 @@ The canonical printer emits terms in strictly decreasing grosspower order;
 exact mode prints coefficients as decimals when the denominator allows and
 as fractions otherwise, and its output re-parses to the identical value.
 
-The lexer is one compiled regular expression.  A token's kind is a plain
-string, the one thing the parser tests: an operator's or keyword's
-canonical text (``≤``, ``≥`` and ``①`` lex as ``<=``, ``>=`` and ``G1``),
-``"number"``, ``"name"``, or ``""`` at the end of input.  Kinds compare
-with ``==``, as a keyword's kind is a slice of the text.  A token carries
+The lexer is one compiled regular expression with one capture group.  A
+token's kind is a plain string, the one thing the parser tests: an
+operator's or keyword's canonical text (``≤``, ``≥`` and ``①`` lex as
+``<=``, ``>=`` and ``G1``), ``"number"``, ``"name"``, or ``""`` at the end
+of input.  One dict lookup on the lexeme gives the kind of every operator,
+glyph and keyword; only a lexeme that is not in the dict is told apart by
+its first character: a digit starts a number, a letter or ``_`` a name,
+and the empty lexeme is the end.  Kinds compare with ``==``, as a
+keyword's kind is a slice of the text.  A token carries
 its offset in the text; the 1-based line and column of an error are
 computed from that offset only when the error is raised.  The parser walks
 the token list by index, one method per precedence level.
@@ -54,7 +62,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple, Union
 
 from . import core
-from .core import MAX_NESTING, GrossNumber, GrossTerm, ONE, ZERO, normalize
+from .core import MAX_NESTING, GrossNumber, GrossTerm, ONE, ZERO, compare, normalize
 from .errors import DepthLimitExceeded, LimitExceeded, ParseError, UnknownCharacter
 
 
@@ -67,15 +75,16 @@ class Token(NamedTuple):
 # Whitespace, then one token: an operator, a decimal (ASCII digits only), a
 # word (characters that str.isalnum() accepts and '_', but not the glyph ①;
 # lex refuses one that does not start with a letter or '_'), or any other
-# character, which is an error.  At the end of the text the last group
-# matches nothing, which is end of input.
-_TOKEN = re.compile(
-    r"[ \t\r\n]*(?:([-+*/^(){},=;≤≥①]|[<>]=?)|([0-9]+(?:\.[0-9]+)?)|([^\W①]+)|(.|\Z))", re.S
-)
-_OPERATOR, _DECIMAL, _WORD = 1, 2, 3
+# character, which is an error.  At the end of the text the token is empty.
+_TOKEN = re.compile(r"[ \t\r\n]*([-+*/^(){},=;≤≥①]|[<>]=?|[0-9]+(?:\.[0-9]+)?|[^\W①]+|.|\Z)", re.S)
 
-_ALIASES = {"≤": "<=", "≥": ">=", "①": "G1"}
-_KEYWORDS = frozenset({"G1", "let", "def", "if"})
+# The kind of every lexeme but a number's and a name's.
+_KINDS = {kind: kind for kind in ("<=", ">=", "G1", "let", "def", "if", *"+-*/^(){},=;<>")}
+_KINDS.update({"≤": "<=", "≥": ">=", "①": "G1"})
+
+# A NamedTuple's generated __new__ is a Python function; this builds the
+# same tuple without calling it.
+_new_tuple = tuple.__new__
 
 
 def lex(text: str) -> list[Token]:
@@ -87,21 +96,22 @@ def lex(text: str) -> list[Token]:
     """
     tokens: list[Token] = []
     append = tokens.append
+    kinds = _KINDS.get
     for m in _TOKEN.finditer(text):
-        group = m.lastindex
-        lexeme = m[group]
-        offset = m.start(group)
-        if group == _OPERATOR:
-            append(Token(_ALIASES.get(lexeme, lexeme), lexeme, offset))
-        elif group == _DECIMAL:
-            append(Token("number", lexeme, offset))
-        elif group == _WORD and (lexeme[0].isalpha() or lexeme[0] == "_"):
-            append(Token(lexeme if lexeme in _KEYWORDS else "name", lexeme, offset))
-        elif lexeme:
-            raise _error(UnknownCharacter, f"unexpected character {lexeme[0]!r}", text, offset)
-        else:  # the end, maybe after whitespace: stop before a second match there
-            append(Token("", "", offset))
-            break
+        lexeme = m[1]
+        kind = kinds(lexeme)
+        if kind is None:
+            if not lexeme:  # the end, maybe after whitespace: stop before a second match there
+                append(_new_tuple(Token, ("", "", m.start(1))))
+                break
+            first = lexeme[0]
+            if "0" <= first <= "9":
+                kind = "number"
+            elif first.isalpha() or first == "_":
+                kind = "name"
+            else:
+                raise _error(UnknownCharacter, f"unexpected character {first!r}", text, m.start(1))
+        append(_new_tuple(Token, (kind, lexeme, m.start(1))))
     return tokens
 
 
@@ -190,7 +200,7 @@ _RELATIONS = frozenset({"<", "<=", "=", ">=", ">"})
 _G1_LITERAL = Literal(core.GROSSONE)
 _NUMERAL_STARTS = frozenset({"number", "G1", "+", "-"})
 _NOT_AFTER_NUMERAL = frozenset({"*", "/", "^"})
-_FRACTION_ONE = Fraction(1)
+_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
 
 
 class _Parser:
@@ -237,16 +247,17 @@ class _Parser:
         self.expect("", "end of input")
         return result
 
-    def decimal(self, token: Token) -> Fraction:
-        """The value of a number token.  Python converts at most
-        ``sys.get_int_max_str_digits()`` digits to an int, so a longer
-        run of digits is malformed input, reported at its position."""
+    def decimal(self, token: Token) -> tuple[int, int]:
+        """The value of a number token as ``(numerator, 10**places)``.
+        Python converts at most ``sys.get_int_max_str_digits()`` digits to
+        an int, so a longer run of digits is malformed input, reported at
+        its position."""
         whole, _, fraction = token.lexeme.partition(".")
         try:
             if not fraction:
-                return Fraction(int(whole))
+                return int(whole), 1
             scale = 10 ** len(fraction)
-            return Fraction(int(whole) * scale + int(fraction), scale)
+            return int(whole) * scale + int(fraction), scale
         except ValueError:
             raise self.fail(
                 f"number literal too long: more than {sys.get_int_max_str_digits()} digits", token.offset
@@ -255,48 +266,60 @@ class _Parser:
     # -- number literals
 
     def literal(self) -> GrossNumber:
+        """A numeral, read in one loop over its terms: the coefficient, with
+        the sign before it folded in, an optional ``/ integer``, then an
+        optional ``* G1 ^{...}``; only ``{`` recurses.  Terms that already
+        strictly decrease, none with a zero coefficient, make the value as
+        they stand; others go through ``normalize``."""
         self.nest()
         tokens = self.tokens
-        pairs: list[tuple[Fraction, GrossNumber]] = []
-        sign = tokens[self.index].kind
-        if sign == "+" or sign == "-":
+        terms: list[GrossTerm] = []
+        canonical = True
+        kind = tokens[self.index].kind
+        negative = kind == "-"
+        if negative or kind == "+":
             self.index += 1
         while True:
-            coefficient, exponent = self.literal_term()
-            pairs.append((-coefficient if sign == "-" else coefficient, exponent))
-            sign = tokens[self.index].kind
-            if sign != "+" and sign != "-":
+            token = tokens[self.index]
+            self.index += 1
+            if token.kind == "G1":
+                coefficient, has_g1 = _MINUS_ONE if negative else _ONE, True
+            elif token.kind == "number":
+                numerator, scale = self.decimal(token)
+                if tokens[self.index].kind == "/":
+                    self.index += 1
+                    denominator = self.expect("number", "a denominator")
+                    divisor, divisor_scale = self.decimal(denominator)
+                    if scale != 1 or divisor_scale != 1 or not divisor:
+                        raise self.fail("a fraction is integer / nonzero integer", token.offset)
+                    scale = divisor
+                canonical = canonical and numerator != 0
+                coefficient = Fraction(-numerator if negative else numerator, scale)
+                has_g1 = tokens[self.index].kind == "*"
+                if has_g1:
+                    self.index += 1
+                    self.expect("G1", "G1")
+            else:
+                raise self.fail("expected a coefficient or G1", token.offset)
+            if not has_g1:
+                exponent = ZERO
+            elif tokens[self.index].kind == "^":
+                self.index += 1
+                self.expect("{", "'{'")
+                exponent = self.literal()
+                self.expect("}", "'}'")
+            else:
+                exponent = ONE
+            if canonical and terms:
+                canonical = compare(terms[-1].exponent, exponent) > 0
+            terms.append(_new_tuple(GrossTerm, (coefficient, exponent)))
+            kind = tokens[self.index].kind
+            if kind != "+" and kind != "-":
                 break
+            negative = kind == "-"
             self.index += 1
         self.depth -= 1
-        return normalize(pairs)
-
-    def literal_term(self) -> tuple[Fraction, GrossNumber]:
-        token = self.tokens[self.index]
-        if token.kind == "G1":
-            return _FRACTION_ONE, self.literal_exponent()
-        if token.kind != "number":
-            raise self.fail("expected a coefficient or G1")
-        self.index += 1
-        coefficient = self.decimal(token)
-        if self.accept("/"):
-            denominator = self.expect("number", "a denominator")
-            value = self.decimal(denominator)
-            if "." in token.lexeme + denominator.lexeme or not value:
-                raise self.fail("a fraction is integer / nonzero integer", token.offset)
-            coefficient /= value
-        if self.accept("*"):
-            return coefficient, self.literal_exponent()
-        return coefficient, ZERO
-
-    def literal_exponent(self) -> GrossNumber:
-        self.expect("G1", "G1")
-        if not self.accept("^"):
-            return ONE
-        self.expect("{", "'{'")
-        inner = self.literal()
-        self.expect("}", "'}'")
-        return inner
+        return GrossNumber(tuple(terms)) if canonical else normalize(terms)
 
     # -- statements
 
@@ -316,11 +339,11 @@ class _Parser:
         self.expect(")", "')'")
         self.expect("=", "'='")
         if not self.accept("{"):
-            return PiecewiseDef(name, param, (Branch(self.additive()),))
+            return PiecewiseDef(name, param, (Branch(self.numeral()),))
         tokens = self.tokens
         branches: list[Branch] = []
         while True:
-            body = self.additive()
+            body = self.numeral()
             if not self.accept("if"):
                 raise self.fail("expected 'if' after the branch expression")
             cond_var = self.expect("name", "the parameter name")
@@ -330,7 +353,7 @@ class _Parser:
             if relation not in _RELATIONS:
                 raise self.fail("expected a comparison operator")
             self.index += 1
-            branches.append(Branch(body, relation, self.additive()))
+            branches.append(Branch(body, relation, self.numeral()))
             if not self.accept(";"):
                 break
         self.expect("}", "';' or '}'")
@@ -407,8 +430,8 @@ class _Parser:
         kind = token.kind
         if kind == "number":
             self.index += 1
-            q = self.decimal(token)
-            return Literal(GrossNumber((GrossTerm(q, ZERO),)) if q else ZERO)
+            numerator, scale = self.decimal(token)
+            return Literal(GrossNumber((GrossTerm(Fraction(numerator, scale), ZERO),)) if numerator else ZERO)
         if kind == "G1":
             self.index += 1
             return _G1_LITERAL
@@ -458,54 +481,58 @@ def print_canonical(x: GrossNumber, digits: Optional[int] = None) -> str:
 
     With ``digits=None`` (exact mode) the text re-parses to the identical
     value; with an integer, coefficients are rounded to that many decimal
-    places for display only.
+    places for display only.  Signs, unit coefficients and the grosspower
+    1 are read from the integers of each coefficient.
 
     >>> print_canonical(core.GROSSONE ** 2 - 1)
     'G1^{2} - 1'
     """
-    if not x.terms:
-        return "0"
     parts: list[str] = []
-    for index, term in enumerate(x.terms):
-        negative = term.coefficient < 0
-        body = _term_text(-term.coefficient if negative else term.coefficient, term.exponent, digits)
-        if index == 0:
-            parts.append("-" + body if negative else body)
+    for coefficient, exponent in x.terms:
+        numerator, denominator = coefficient.numerator, coefficient.denominator
+        if numerator < 0:
+            parts.append(" - " if parts else "-")
+            numerator = -numerator
+        elif parts:
+            parts.append(" + ")
+        if not exponent.terms:
+            parts.append(_coefficient_text(numerator, denominator, digits))
+            continue
+        if numerator != 1 or denominator != 1:
+            parts.append(_coefficient_text(numerator, denominator, digits) + "*")
+        (c, p), *rest = exponent.terms  # the grosspower 1 is the one term 1*G1^0
+        if rest or p.terms or c.numerator != 1 or c.denominator != 1:
+            parts.append("G1^{" + print_canonical(exponent, digits) + "}")
         else:
-            parts.append((" - " if negative else " + ") + body)
-    return "".join(parts)
+            parts.append("G1")
+    return "".join(parts) or "0"
 
 
-def _term_text(coefficient: Fraction, exponent: GrossNumber, digits: Optional[int]) -> str:
-    if not exponent.terms:
-        return _coefficient_text(coefficient, digits)
-    if exponent == ONE:
-        base = "G1"
-    else:
-        base = "G1^{" + print_canonical(exponent, digits) + "}"
-    if coefficient == 1:
-        return base
-    return _coefficient_text(coefficient, digits) + "*" + base
-
-
-def _coefficient_text(q: Fraction, digits: Optional[int]) -> str:
-    """A coefficient's digits; Python converts at most
+def _coefficient_text(numerator: int, denominator: int, digits: Optional[int]) -> str:
+    """A positive coefficient's digits; Python converts at most
     ``sys.get_int_max_str_digits()`` digits of an integer to text, so a
     longer coefficient raises LimitExceeded, and a fraction asked for more
     ``digits`` than that plus its denominator's bit length, before rounding."""
     try:
-        if q.denominator == 1:
-            return str(q.numerator)
+        if denominator == 1:
+            return str(numerator)
         if digits is not None:
-            if 0 < sys.get_int_max_str_digits() < digits - q.denominator.bit_length() - 1:
+            if 0 < sys.get_int_max_str_digits() < digits - denominator.bit_length() - 1:
                 raise ValueError  # at least that many digits after the point
-            return _place_point(round(q * 10**digits), digits)
-        twos = _multiplicity(q.denominator, 2)
-        fives = _multiplicity(q.denominator, 5)
-        if q.denominator == 2**twos * 5**fives:
-            scale = max(twos, fives)
-            return _place_point(q.numerator * 10**scale // q.denominator, scale)
-        return f"{q.numerator}/{q.denominator}"
+            scaled, rest = divmod(numerator * 10**digits, denominator)
+            rest *= 2
+            if rest > denominator or (rest == denominator and scaled & 1):  # half to even
+                scaled += 1
+            return _place_point(scaled, digits)
+        twos = (denominator & -denominator).bit_length() - 1
+        odd, fives = denominator >> twos, 0
+        while odd % 5 == 0:
+            odd //= 5
+            fives += 1
+        if odd != 1:
+            return f"{numerator}/{denominator}"
+        scale = max(twos, fives)
+        return _place_point(numerator * 10**scale // denominator, scale)
     except ValueError:
         raise LimitExceeded(
             f"a coefficient is too long to print: more than {sys.get_int_max_str_digits()} digits"
@@ -513,18 +540,5 @@ def _coefficient_text(q: Fraction, digits: Optional[int]) -> str:
 
 
 def _place_point(scaled: int, scale: int) -> str:
-    if scale == 0:
-        return str(scaled)
-    sign = "-" if scaled < 0 else ""
-    scaled = abs(scaled)
-    text = f"{sign}{scaled // 10**scale}.{scaled % 10**scale:0{scale}d}"
-    text = text.rstrip("0").rstrip(".")
-    return text if text not in ("", "-") else "0"
-
-
-def _multiplicity(n: int, p: int) -> int:
-    count = 0
-    while n % p == 0:
-        n //= p
-        count += 1
-    return count
+    whole, part = divmod(scaled, 10**scale)
+    return f"{whole}.{part:0{scale}d}".rstrip("0").rstrip(".")

@@ -516,7 +516,7 @@ def test_repl_values_stay_reparseable(tmp_path, capsys):
     assert run(capsys, "eval", out.strip()) == (0, out, "")
 
 
-def test_printed_negative_grosspowers_100_braces_deep_read_back(tmp_path, capsys):
+def _negative_grosspowers_100_braces_deep() -> str:
     # read whole, a numeral nests one level per brace; as an expression each
     # "^{-" would open two, one for the brace and one for the minus
     value = monomial(1, -1)
@@ -524,10 +524,26 @@ def test_printed_negative_grosspowers_100_braces_deep_read_back(tmp_path, capsys
         value = monomial(1, -value)
     text = print_canonical(value)
     assert text.count("{") == 100
+    return text
+
+
+def test_printed_negative_grosspowers_100_braces_deep_read_back(tmp_path, capsys):
+    text = _negative_grosspowers_100_braces_deep()
     assert run(capsys, "eval", text) == (0, text + "\n", "")
     script = tmp_path / "deep.txt"
     script.write_text(f"let a = {text}\na\n", encoding="utf-8")
     assert run(capsys, "repl", "--script", str(script)) == (0, text + "\n", "")
+
+
+def test_a_definition_reads_a_printed_value_100_braces_deep(tmp_path, capsys):
+    # a def body, each branch body and each breakpoint read a numeral whole
+    text = _negative_grosspowers_100_braces_deep()
+    script = tmp_path / "deep.txt"
+    script.write_text(
+        f"def f(x) = {text}\nf(1)\ndef g(x) = {{ {text} if x < {text}; 1 if x >= {text} }}\ng(0)\ng(G1)\n",
+        encoding="utf-8",
+    )
+    assert run(capsys, "repl", "--script", str(script)) == (0, f"{text}\n{text}\n1\n", "")
 
 
 def test_repl_long_tower_of_lets_is_not_a_traceback(tmp_path, capsys):

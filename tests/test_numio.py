@@ -1,11 +1,13 @@
 """Lexer, number/expression/statement parsers and the canonical printer."""
 
 import doctest
+import re
+import sys
 from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from grossone import numio
 from grossone.core import (
@@ -15,10 +17,11 @@ from grossone.core import (
     from_int,
     from_rational,
     monomial,
+    normalize,
     power_int,
     scalar_mul,
 )
-from grossone.errors import DepthLimitExceeded, ParseError, UnknownCharacter
+from grossone.errors import DepthLimitExceeded, LimitExceeded, ParseError, UnknownCharacter
 from grossone.numio import (
     MAX_NESTING,
     Binary,
@@ -28,6 +31,7 @@ from grossone.numio import (
     LetBinding,
     Literal,
     PiecewiseDef,
+    Token,
     Unary,
     Var,
     lex,
@@ -133,6 +137,57 @@ def test_long_decimal_converts_each_digit_run_on_its_own():
     assert value == from_rational(Fraction(int("1" * 4000)) + Fraction(int("1" * 4000), 10**4000))
 
 
+# The lexer with one capture group per kind of token and one branch per
+# group, as it was before kinds came from a table; lex must tokenize every
+# text as it does and refuse every text at the same place.
+_REFERENCE_TOKEN = re.compile(
+    r"[ \t\r\n]*(?:([-+*/^(){},=;≤≥①]|[<>]=?)|([0-9]+(?:\.[0-9]+)?)|([^\W①]+)|(.|\Z))", re.S
+)
+
+
+def reference_lex(text):
+    tokens = []
+    for m in _REFERENCE_TOKEN.finditer(text):
+        group = m.lastindex
+        lexeme, offset = m[group], m.start(group)
+        if group == 1:
+            tokens.append(Token({"≤": "<=", "≥": ">=", "①": "G1"}.get(lexeme, lexeme), lexeme, offset))
+        elif group == 2:
+            tokens.append(Token("number", lexeme, offset))
+        elif group == 3 and (lexeme[0].isalpha() or lexeme[0] == "_"):
+            tokens.append(Token(lexeme if lexeme in ("G1", "let", "def", "if") else "name", lexeme, offset))
+        elif lexeme:
+            line, column = text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+            raise UnknownCharacter(f"unexpected character {lexeme[0]!r}", line, column)
+        else:
+            tokens.append(Token("", "", offset))
+            break
+    return tokens
+
+
+# Every operator, its glyphs, the keywords, digits and '.', letters and '_',
+# whitespace, a non-ASCII digit and a character that is no token.
+_LEXER_PIECES = [
+    *"+-*/^(){},=;<>", "<=", ">=", "≤", "≥", "①", "G1", "let", "def", "if",
+    "0", "7", "12", ".", "a", "x", "G", "é", "_", " ", "\t", "\n", "\r", "٣", "$",
+]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from(_LEXER_PIECES), max_size=16).map("".join))
+def test_lex_matches_the_reference_lexer(text):
+    try:
+        expected = reference_lex(text)
+    except UnknownCharacter as err:
+        with pytest.raises(UnknownCharacter) as got:
+            lex(text)
+        assert (got.value.line, got.value.column, got.value.message) == (err.line, err.column, err.message)
+    else:
+        tokens = lex(text)
+        assert tokens == expected
+        assert all(type(token) is Token for token in tokens)
+
+
 # Positions: an expression's tokens, as text, joined by generated whitespace.
 _LEAF_TOKENS = st.sampled_from(["1", "2.5", "G1", "①", "x", "y_1"]).map(lambda leaf: [leaf])
 
@@ -231,6 +286,84 @@ def test_parse_number_nesting_limit():
     with pytest.raises(DepthLimitExceeded) as err:
         parse_number("G1^{" + deepest + "}")
     assert err.value.message == "nested deeper than 100"
+
+
+@pytest.mark.parametrize(
+    "text, line, column, message",
+    [
+        ("3/", 1, 3, "expected a denominator"),
+        ("3/0", 1, 1, "a fraction is integer / nonzero integer"),
+        ("1.5/2", 1, 1, "a fraction is integer / nonzero integer"),
+        ("2*", 1, 3, "expected G1"),
+        ("2*G1^", 1, 6, "expected '{'"),
+        ("G1^{1", 1, 6, "expected '}'"),
+        ("G1^2", 1, 4, "expected '{', found '2'"),
+        ("2*x", 1, 3, "expected G1, found 'x'"),
+        ("- -1", 1, 3, "expected a coefficient or G1"),
+        ("3 /\n 0", 1, 1, "a fraction is integer / nonzero integer"),
+        ("1\n+ G1^{2\n", 3, 1, "expected '}'"),
+    ],
+)
+def test_malformed_numeral_error_positions(text, line, column, message):
+    with pytest.raises(ParseError) as err:
+        parse_number(text)
+    assert (err.value.line, err.value.column, err.value.message) == (line, column, message)
+
+
+# A numeral's terms in any order, some with a zero coefficient or a
+# grosspower drawn twice: the coefficient's text and value, its sign,
+# whether a unit coefficient is left out, the grosspower, and whether a
+# grosspower of 0 or 1 is written in braces.
+_COEFFICIENT_TEXTS = st.one_of(
+    st.integers(0, 12).map(lambda n: (str(n), Fraction(n))),
+    st.tuples(st.integers(0, 12), st.integers(1, 9)).map(lambda p: (f"{p[0]}/{p[1]}", Fraction(*p))),
+    st.tuples(st.integers(0, 12), st.sampled_from(["5", "25", "05", "0"])).map(
+        lambda p: (f"{p[0]}.{p[1]}", Fraction(f"{p[0]}.{p[1]}"))
+    ),
+)
+_TERM_GROSSPOWERS = st.one_of(
+    st.sampled_from([ZERO, ONE, from_int(2), from_int(-1), G1, from_rational(Fraction(1, 2))]), gross_numbers(2, 3)
+)
+_NUMERAL_TERMS = st.lists(
+    st.tuples(_COEFFICIENT_TEXTS, st.booleans(), st.booleans(), _TERM_GROSSPOWERS, st.booleans()),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=200)
+@given(_NUMERAL_TERMS, st.booleans())
+def test_a_numeral_reads_to_the_normalized_value_of_its_terms(terms, leading_plus):
+    pieces, pairs = [], []
+    for (text, value), negative, bare, exponent, braced in terms:
+        if pieces:
+            pieces.append(" - " if negative else " + ")
+        elif negative or leading_plus:
+            pieces.append("-" if negative else "+")
+        if exponent == ZERO and not braced:
+            pieces.append(text)
+        else:
+            power = "G1" if exponent == ONE and not braced else "G1^{" + print_canonical(exponent) + "}"
+            pieces.append(power if bare and text == "1" else f"{text}*{power}")
+        pairs.append((-value if negative else value, exponent))
+    assert parse_number("".join(pieces)) == normalize(pairs)
+
+
+def _no_normalize(terms):
+    raise AssertionError("a canonical numeral went through normalize")
+
+
+@given(gross_numbers().filter(bool))
+def test_a_printed_value_reads_back_without_normalize(x):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numio, "normalize", _no_normalize)
+        assert parse_number(print_canonical(x)) == x
+
+
+@given(gross_numbers())
+def test_a_printed_value_reprints_byte_identically(x):
+    text = print_canonical(x)
+    assert print_canonical(parse_number(text)) == text
 
 
 # text nested ``n`` levels deep, and the column of the token opening level n
@@ -407,6 +540,124 @@ def test_printer_never_emits_zero_coefficients(x):
     text = print_canonical(x)
     assert " 0*" not in text and not text.startswith("0*")
 
+
+# The printer as it was before it read coefficients as integers: Fraction
+# comparisons for the sign and a unit coefficient, GrossNumber equality for
+# the grosspower 1, and division loops for the powers of 2 and 5.
+def reference_print(x, digits=None):
+    if not x.terms:
+        return "0"
+    parts = []
+    for index, term in enumerate(x.terms):
+        negative = term.coefficient < 0
+        body = _reference_term(-term.coefficient if negative else term.coefficient, term.exponent, digits)
+        if index == 0:
+            parts.append("-" + body if negative else body)
+        else:
+            parts.append((" - " if negative else " + ") + body)
+    return "".join(parts)
+
+
+def _reference_term(coefficient, exponent, digits):
+    if not exponent.terms:
+        return _reference_coefficient(coefficient, digits)
+    base = "G1" if exponent == ONE else "G1^{" + reference_print(exponent, digits) + "}"
+    if coefficient == 1:
+        return base
+    return _reference_coefficient(coefficient, digits) + "*" + base
+
+
+def _reference_coefficient(q, digits):
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        if digits is not None:
+            if 0 < sys.get_int_max_str_digits() < digits - q.denominator.bit_length() - 1:
+                raise ValueError
+            return _reference_point(round(q * 10**digits), digits)
+        twos = _multiplicity(q.denominator, 2)
+        fives = _multiplicity(q.denominator, 5)
+        if q.denominator == 2**twos * 5**fives:
+            scale = max(twos, fives)
+            return _reference_point(q.numerator * 10**scale // q.denominator, scale)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        raise LimitExceeded(
+            f"a coefficient is too long to print: more than {sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
+def _reference_point(scaled, scale):
+    if scale == 0:
+        return str(scaled)
+    sign = "-" if scaled < 0 else ""
+    scaled = abs(scaled)
+    text = f"{sign}{scaled // 10**scale}.{scaled % 10**scale:0{scale}d}"
+    text = text.rstrip("0").rstrip(".")
+    return text if text not in ("", "-") else "0"
+
+
+def _multiplicity(n, p):
+    count = 0
+    while n % p == 0:
+        n //= p
+        count += 1
+    return count
+
+
+# Negative and unit coefficients, denominators 2^a*5^b and others, halves
+# that round to even, and a coefficient too long to print.
+_PRINTED_COEFFICIENTS = st.builds(
+    Fraction,
+    st.one_of(st.integers(-40, 40).filter(bool), st.sampled_from([1, -1, 10**4400 + 1])),
+    st.sampled_from([1, 2, 4, 5, 8, 10, 16, 20, 25, 40, 125, 1000, 2**15000, 3, 6, 7, 12, 15, 30]),
+)
+_PRINTED_GROSSPOWERS = st.one_of(
+    st.sampled_from([ZERO, ONE, G1, from_int(-1), from_rational(Fraction(3, 8))]), gross_numbers(2, 3)
+)
+_PRINTED_INNER = st.builds(normalize, st.lists(st.tuples(_PRINTED_COEFFICIENTS, _PRINTED_GROSSPOWERS), max_size=4))
+_PRINTED_VALUES = st.builds(
+    normalize, st.lists(st.tuples(_PRINTED_COEFFICIENTS, st.one_of(_PRINTED_GROSSPOWERS, _PRINTED_INNER)), max_size=5)
+)
+_TOO_LONG = "<a value too long to print>"
+
+
+def _printed(printer, x, digits):
+    try:
+        return printer(x, digits)
+    except LimitExceeded as err:
+        return str(err)
+
+
+def _assert_prints_as_the_reference(x, digits):
+    text = _printed(print_canonical, x, digits)
+    assert text == _printed(reference_print, x, digits)
+    if digits is None:
+        # repr shows the text, or a placeholder where print_canonical refuses
+        assert repr(x) == (_TOO_LONG if text.startswith("a coefficient is too long") else text)
+
+
+@settings(max_examples=300)
+@given(_PRINTED_VALUES, st.sampled_from([None, 1, 2, 3, 4]))
+def test_print_canonical_matches_the_reference_printer(x, digits):
+    _assert_prints_as_the_reference(x, digits)
+
+
+# hypothesis shows an explicit example's arguments before it runs them, and
+# a coefficient too long to print cannot be shown
+@pytest.mark.parametrize(
+    "x, digits",
+    [
+        (monomial(10**4400 + 1, ONE), None),
+        (monomial(10**4400 + 1, ONE), 2),
+        (monomial(Fraction(1, 2**15000), G1), None),
+        (monomial(Fraction(1, 3), monomial(Fraction(1, 3), G1)), 10**5),
+        (from_rational(Fraction(5, 8)), 2),
+        (from_rational(Fraction(-3, 8)), 2),
+    ],
+)
+def test_print_canonical_matches_the_reference_printer_at_its_limits(x, digits):
+    _assert_prints_as_the_reference(x, digits)
 
 def test_module_doctests_pass():
     from grossone import summation
