@@ -31,8 +31,6 @@ from grossone.setcalc import (
     classify_event,
     event_extent,
     member,
-    remove_one,
-    tuple_space_count,
 )
 from grossone.summation import (
     PolynomialSummand,
@@ -98,13 +96,13 @@ def main() -> None:
     print("\nCounting infinite sets, where the part stays smaller than the whole")
     show("elements of the naturals N", NATURALS.count)
     show("elements of the even naturals E", EVEN_NATURALS.count)
-    show("elements of N without one member", remove_one(NATURALS, from_int(17)))
+    show("elements of N without one member", NATURALS.count - 1)
     doubled = affine_image(NATURALS, Fraction(2))
     show("elements of the image y = 2x of N", doubled.count)
     show("last element of that image", doubled.last)
     show("is G1/2 a natural number", str(member(scalar_mul(Fraction(1, 2), G1), NATURALS)).lower())
     show("is G1 + 2 a natural number", str(member(G1 + 2, NATURALS)).lower())
-    show("G1-tuples over N", tuple_space_count(G1, G1))
+    show("G1-tuples over N", power_gross(G1, G1))
     # the guest of the last room would need room G1 + 1, which does not exist
     show("full hotel with G1 rooms absorbs a guest", str(member(G1 + 1, NATURALS)).lower())
 

@@ -23,8 +23,8 @@ Fraction per result term.  Long division keeps its remainder as a dict
 from key to integer; a one-term divisor is a shift through ``multiply``,
 exact whatever the dividend's length.  Every power of a longer base runs
 on the keys in ``_raised``: n - 1 products up to n = 4, Miller's
-recurrence above.  For ``summation``, ``polynomial_product`` expands a
-summand with its index as the top digit, and ``polynomial_at`` substitutes
+recurrence above.  For ``summation``, ``_polynomial_product`` expands a
+summand with its index as the top digit, and ``_polynomial_at`` substitutes
 a closed form's count into the sum of the summand's coefficients times
 integer rows: one packing, one Horner pass, one ``_from_keyed``.
 When every grosspower is finite, a result term takes its grosspower from
@@ -73,7 +73,7 @@ MAX_NESTING = 100
 MAX_DIV_TERMS = 1_000
 
 #: How many finite grosspowers ``_from_keyed`` keeps decoded across calls.
-DECODED_POWERS = 4096
+_DECODED_POWERS = 4096
 
 
 class NumClass(Enum):
@@ -488,10 +488,10 @@ def _from_keyed(codec: tuple, keyed: list) -> GrossNumber:
     return GrossNumber(tuple(out))
 
 
-@lru_cache(maxsize=DECODED_POWERS)
+@lru_cache(maxsize=_DECODED_POWERS)
 def _decoded(key: int, scale: int, unit: GrossNumber) -> GrossNumber:
     """The grosspower ``(key/scale)*G1^unit``, one shared value per
-    ``(key, scale, unit)`` among the last ``DECODED_POWERS`` decoded."""
+    ``(key, scale, unit)`` among the last ``_DECODED_POWERS`` decoded."""
     return GrossNumber((GrossTerm(Fraction(key, scale), unit),))
 
 
@@ -570,7 +570,7 @@ def _raised(xs: list, n: int) -> list:
     return out
 
 
-def polynomial_at(coefficients: list, rows: list, k: GrossNumber) -> GrossNumber:
+def _polynomial_at(coefficients: list, rows: list, k: GrossNumber) -> GrossNumber:
     """``sum_j c_j * (n_0 + n_1*k + ...) / D_j``, the gross-numbers
     ``coefficients`` each over its integer row ``(D_j, (n_0, n_1, ...))``,
     rows of any length, as ``summation`` builds its closed forms.
@@ -582,7 +582,7 @@ def polynomial_at(coefficients: list, rows: list, k: GrossNumber) -> GrossNumber
     the pairs of s*k adds one column per step, so the terms shift and merge
     on integer keys, and the keys are sorted and unpacked once.
 
-    >>> polynomial_at([ONE, GROSSONE], [(2, (0, 1, 1)), (1, (1,))], GROSSONE)
+    >>> _polynomial_at([ONE, GROSSONE], [(2, (0, 1, 1)), (1, (1,))], GROSSONE)
     0.5*G1^{2} + 1.5*G1
     """
     degree = max([len(n) for _, n in rows], default=1) - 1
@@ -604,7 +604,7 @@ def polynomial_at(coefficients: list, rows: list, k: GrossNumber) -> GrossNumber
     return _from_keyed(codec, [(key, Fraction(c, scale)) for key, c in _decreasing(value)])
 
 
-def polynomial_product(left: list, right: list, n: int = 1) -> list:
+def _polynomial_product(left: list, right: list, n: int = 1) -> list:
     """The coefficients of ``left * right^n``, each list holding those of an
     index i's powers 0, 1, ...  As in ``power_int``, an all-zero ``right``
     to the power 0 raises and a one-term factor ``c*i^j`` is a shift.
@@ -614,7 +614,7 @@ def polynomial_product(left: list, right: list, n: int = 1) -> list:
     ``_convolve`` run on the keys, sorted once; balanced rounding takes j
     back off each, one ``_from_keyed`` per power of i.
 
-    >>> polynomial_product([ONE], [GROSSONE, ONE], 2)
+    >>> _polynomial_product([ONE], [GROSSONE, ONE], 2)
     [G1^{2}, 2*G1, 1]
     """
     if n == 0:

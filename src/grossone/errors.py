@@ -104,18 +104,6 @@ class UnsupportedSummand(GrossoneError):
 # ------------------------------------------------------------------ set calc
 
 
-class NotAMember(GrossoneError):
-    pass
-
-
-class AlreadyMember(GrossoneError):
-    pass
-
-
-class NotASubset(GrossoneError):
-    pass
-
-
 class InvalidProgression(GrossoneError):
     pass
 

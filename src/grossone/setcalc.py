@@ -4,7 +4,7 @@ Sets are arithmetic progressions carrying an explicit gross-number element
 count, which is what makes statements like "the even naturals have G1/2
 elements" representable: the naturals are the progression 1, 2, ..., G1
 with count G1, and every affine image keeps the count of its source.
-Membership, subset checks and element counts are all decided exactly.
+Membership and element counts are both decided exactly.
 
 The probability model is counting at a chosen resolution: a sample space
 of K elementary events and m favorable ones give P = m/K, divided as any
@@ -27,7 +27,6 @@ from .core import (
     GrossNumber,
     NumClass,
     ONE,
-    ZERO,
     as_gross,
     compare,
     from_int,
@@ -35,13 +34,7 @@ from .core import (
     is_integer_like,
     scalar_mul,
 )
-from .errors import (
-    AlreadyMember,
-    InvalidModel,
-    InvalidProgression,
-    NotAMember,
-    NotASubset,
-)
+from .errors import InvalidModel, InvalidProgression
 
 
 @dataclass(frozen=True)
@@ -71,20 +64,9 @@ NATURALS = ProgressionSet(ONE, Fraction(1), GROSSONE)
 EVEN_NATURALS = ProgressionSet(from_int(2), Fraction(2), scalar_mul(Fraction(1, 2), GROSSONE))
 
 
-def finite_set(lo: int, hi: int) -> ProgressionSet:
-    """The finite set {lo, lo+1, ..., hi}."""
-    if hi < lo:
-        raise InvalidProgression("empty range")
-    return ProgressionSet(from_int(lo), Fraction(1), from_int(hi - lo + 1))
-
-
-def _index_of(x: GrossNumber, s: ProgressionSet) -> GrossNumber:
-    return scalar_mul(1 / s.step, x - s.start) + 1
-
-
 def member(x: GrossLike, s: ProgressionSet) -> bool:
     """Exact membership test: x must sit at an integer-like index in range."""
-    index = _index_of(as_gross(x), s)
+    index = scalar_mul(1 / s.step, as_gross(x) - s.start) + 1
     if not is_integer_like(index):
         return False
     return compare(index, ONE) >= 0 and compare(index, s.count) <= 0
@@ -98,64 +80,12 @@ def affine_image(s: ProgressionSet, a: Fraction, b: Fraction = Fraction(0)) -> P
     return ProgressionSet(scalar_mul(a, s.start) + from_rational(Fraction(b)), a * s.step, s.count)
 
 
-def remove_one(s: ProgressionSet, x: GrossLike) -> GrossNumber:
-    """Element count after removing a member: count - 1."""
-    if not member(x, s):
-        raise NotAMember(f"{as_gross(x)} is not an element of the set")
-    return s.count - 1
-
-
-def add_one(s: ProgressionSet, x: GrossLike) -> GrossNumber:
-    """Element count after adjoining a non-member: count + 1."""
-    if member(x, s):
-        raise AlreadyMember(f"{as_gross(x)} is already an element of the set")
-    return s.count + 1
-
-
 def product_count(counts: Iterable[GrossLike]) -> GrossNumber:
     """Number of tuples drawn from sets of the given sizes."""
     total = ONE
     for c in counts:
         total = total * as_gross(c)
     return total
-
-
-def tuple_space_count(base_count: GrossLike, length: GrossLike) -> GrossNumber:
-    """Number of length-tuples over a base set: base_count ** length.
-
-    Supported combinations follow gross-number exponentiation; for example
-    G1-tuples over the naturals number G1^{G1}, while 2**G1 (binary
-    G1-tuples) is not representable and raises UnsupportedExponentiation.
-    """
-    return core.power_gross(as_gross(base_count), as_gross(length))
-
-
-def _ascending(s: ProgressionSet) -> ProgressionSet:
-    if s.step < 0:
-        return ProgressionSet(s.last, -s.step, s.count)
-    return s
-
-
-def proper_subset_strictly_smaller(a: ProgressionSet, b: ProgressionSet) -> bool:
-    """Check that a proper subset has a strictly smaller element count.
-
-    Verifies a ⊊ b by progression algebra, then compares counts; proper
-    containment must always come out strictly smaller.
-    """
-    a_asc, b_asc = _ascending(a), _ascending(b)
-    if a_asc == b_asc:
-        raise NotASubset("the sets are equal")
-    ratio = a_asc.step / b_asc.step
-    if ratio.denominator != 1:
-        raise NotASubset("step is not a multiple of the superset step")
-    first = _index_of(a_asc.start, b_asc)
-    if not is_integer_like(first):
-        raise NotASubset("first element is not in the superset")
-    last = first + scalar_mul(ratio, a_asc.count - 1)
-    for boundary in (first, last):
-        if compare(boundary, ONE) < 0 or compare(boundary, b_asc.count) > 0:
-            raise NotASubset("an element falls outside the superset")
-    return compare(a.count, b.count) < 0
 
 
 # -------------------------------------------------------------- probability

@@ -7,12 +7,12 @@ alternating sum is the plain sum less twice its even-indexed items, which
 needs the parity of the item count (numbers without a parity are rejected
 rather than averaged, because an average is not a sum).
 
-Both steps run on ``core``'s integer kernel.  ``core.polynomial_product``
+Both steps run on ``core``'s integer kernel.  ``core._polynomial_product``
 expands a summand into gross-number coefficients c_j of the index's
 powers.  Its sum is ``sum_j c_j * F_j(k)``, with F_j the power sum
 1^j + ... + k^j as a cached integer row (each built in integers from the
 row below, by F_j = j * (integral of F_{j-1}) + B_j*t), and
-``core.polynomial_at`` substitutes the count, a gross-number, into all of
+``core._polynomial_at`` substitutes the count, a gross-number, into all of
 it at once.  These rows are the only ones:
 the even-indexed items p(2), ..., p(2m) sum to ``sum_j c_j * 2^j * F_j(m)``,
 so twice them is the same rows shifted left by j + 1 bits, at m.
@@ -77,7 +77,7 @@ def faulhaber(j: int, k: GrossNumber) -> GrossNumber:
     """
     if j < 0:
         raise ValueError("j must be >= 0")
-    return core.polynomial_at([ONE], [_row(j)], as_gross(k))
+    return core._polynomial_at([ONE], [_row(j)], as_gross(k))
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ class PolynomialSummand:
 
 def sum_polynomial(p: PolynomialSummand, k: GrossNumber) -> GrossNumber:
     """Sum of p(i) for i = 1..k, exact for any gross-number count k."""
-    return core.polynomial_at(p.coefficients, [_row(j) for j in range(len(p.coefficients))], as_gross(k))
+    return core._polynomial_at(p.coefficients, [_row(j) for j in range(len(p.coefficients))], as_gross(k))
 
 
 def sum_alternating_polynomial(p: PolynomialSummand, k: GrossNumber) -> GrossNumber:
@@ -112,7 +112,7 @@ def sum_alternating_polynomial(p: PolynomialSummand, k: GrossNumber) -> GrossNum
     rows = [_row(j) for j in range(len(p.coefficients))]
     evens = [(d, tuple(n << j + 1 for n in numerators)) for j, (d, numerators) in enumerate(rows)]
     half = scalar_mul(Fraction(1, 2), k - odd)
-    return core.polynomial_at(p.coefficients, rows, k) - core.polynomial_at(p.coefficients, evens, half)
+    return core._polynomial_at(p.coefficients, rows, k) - core._polynomial_at(p.coefficients, evens, half)
 
 
 def sum_finite_generic(
@@ -252,7 +252,7 @@ def _poly_product(left: list[GrossNumber], right: list[GrossNumber], times: int 
     degree = len(left) - 1 + times * (len(right) - 1)
     if degree > MAX_SUMMAND_DEGREE:
         raise LimitExceeded(f"a polynomial summand has degree at most {MAX_SUMMAND_DEGREE}, not {degree}")
-    return core.polynomial_product(left, right, times)
+    return core._polynomial_product(left, right, times)
 
 
 def _mentions(expr: Ast, var: str) -> bool:

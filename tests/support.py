@@ -1,5 +1,6 @@
 """Shared generators: hypothesis strategies and a seeded mirror of them for
-the fixed-count acceptance sweeps."""
+the fixed-count acceptance sweeps; and ``session``, the calculator's value of
+a statement."""
 
 from __future__ import annotations
 
@@ -9,6 +10,8 @@ from fractions import Fraction
 import hypothesis.strategies as st
 
 from grossone.core import GrossNumber, from_rational, normalize
+from grossone.evaluator import Env, exec_statement
+from grossone.numio import parse_statement
 
 # st.fractions is slow to draw from; building from raw integers is cheap
 small_rationals = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 6))
@@ -68,3 +71,9 @@ def random_nonzero_gross(rng: random.Random, max_depth: int = 3, max_terms: int 
         x = random_gross(rng, max_depth, max_terms)
         if x.terms:
             return x
+
+
+def session(text: str):
+    """What the calculator computes for the statement ``text``, before it
+    is printed: a number, a set or a boolean."""
+    return exec_statement(parse_statement(text), Env())[1]

@@ -46,16 +46,11 @@ from grossone.setcalc import (
     NATURALS,
     ProbabilityModel,
     ProgressionSet,
-    add_one,
     affine_image,
     classify_event,
     event_extent,
-    finite_set,
     member,
     product_count,
-    proper_subset_strictly_smaller,
-    remove_one,
-    tuple_space_count,
 )
 from grossone.summation import (
     PolynomialSummand,
@@ -69,6 +64,7 @@ from support import (
     random_gross,
     random_nonzero_fraction,
     random_nonzero_gross,
+    session,
 )
 
 G1 = GROSSONE
@@ -192,13 +188,18 @@ def test_criterion_7_cardinalities():
     with criterion(7, "cardinality suite: counts, images, tuples, hotel"):
         assert NATURALS.count == G1
         assert EVEN_NATURALS.count == HALF_G1
-        assert remove_one(NATURALS, from_int(17)) == G1 - 1
-        assert remove_one(NATURALS, HALF_G1) == G1 - 1
-        assert add_one(NATURALS, G1 + 1) == G1 + 1
+        # a member removed leaves count(N) - 1, a non-member adjoined
+        # makes count(N) + 1
+        assert member(from_int(17), NATURALS) and member(HALF_G1, NATURALS)
+        assert session("count(N) - 1") == G1 - 1
+        assert session("member(G1 + 1, N)") is False
+        assert session("count(N) + 1") == G1 + 1
         assert product_count([G1, G1]) == power_int(G1, 2)
-        assert tuple_space_count(G1, G1) == monomial(1, G1)
+        # G1-tuples over N number G1^G1; binary G1-tuples, 2^G1, have no
+        # numeral
+        assert session("G1^G1") == monomial(1, G1)
         try:
-            tuple_space_count(from_int(2), G1)
+            session("2^G1")
             raise AssertionError("2^G1 must be rejected")
         except UnsupportedExponentiation:
             pass
@@ -210,9 +211,11 @@ def test_criterion_7_cardinalities():
         # a full hotel has no room for the last guest to move up to, G1 + 1
         # for G1 rooms as 11 for 10
         assert member(G1, NATURALS) and not member(G1 + 1, NATURALS)
-        assert member(10, finite_set(1, 10)) and not member(11, finite_set(1, 10))
+        ten = ProgressionSet(from_int(1), Fraction(1), from_int(10))
+        assert member(10, ten) and not member(11, ten)
         assert not member(G1 + 2, NATURALS)
-        assert proper_subset_strictly_smaller(EVEN_NATURALS, NATURALS)
+        # the part is less than the whole
+        assert session("count(E) < count(N)") is True
 
 
 def _random_finite_expression(rng: random.Random, depth: int):
@@ -354,7 +357,8 @@ def test_criterion_8_property_sweeps():
                     first = ratio * scale
                     sub_count = scalar_mul(Fraction(1, ratio), G1 - first) + 1
                 subset = ProgressionSet(from_int(first), Fraction(ratio), sub_count)
-            assert proper_subset_strictly_smaller(subset, superset)
+            assert member(subset.start, superset) and member(subset.last, superset)
+            assert compare(subset.count, superset.count) < 0
 
 
 def test_criterion_9_division_contract():

@@ -151,9 +151,23 @@ def test_eval_progression_step_uses_the_numeral_printer(capsys):
     assert (code, out) == (0, "progression(start=0.5, step=0.5, count=G1)\n")
 
 
-def test_eval_set_builtins_inside_expressions(capsys):
-    code, out, _ = run(capsys, "eval", "count(image(N, 2, 0))")
-    assert (code, out) == (0, "G1\n")
+@pytest.mark.parametrize(
+    "expression, printed",
+    [
+        ("count(image(N, 2, 0))", "G1"),
+        # N without one member, and N with a non-member adjoined
+        ("count(N) - 1", "G1 - 1"),
+        ("count(N) + 1", "G1 + 1"),
+        ("member(G1 + 1, N)", "false"),
+        # the G1-tuples over N
+        ("G1^G1", "G1^{G1}"),
+        # the part is less than the whole
+        ("count(E) < count(N)", "true"),
+    ],
+)
+def test_eval_set_builtins_inside_expressions(capsys, expression, printed):
+    code, out, _ = run(capsys, "eval", expression)
+    assert (code, out) == (0, printed + "\n")
 
 
 @pytest.mark.parametrize("expression", ["N + 1", "member(1, N) * 2"])

@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 
 from grossone import core
 from grossone.core import (
-    DECODED_POWERS,
+    _DECODED_POWERS,
     MAX_DIV_TERMS,
     MAX_NESTING,
     DivResult,
@@ -40,8 +40,8 @@ from grossone.core import (
     negate,
     normalize,
     parity,
-    polynomial_at,
-    polynomial_product,
+    _polynomial_at,
+    _polynomial_product,
     power_gross,
     power_int,
     scalar_mul,
@@ -486,12 +486,12 @@ def test_one_key_under_two_scales_decodes_to_two_grosspowers():
 
 
 def test_the_table_of_grosspowers_stays_within_its_bound():
-    for k in range(1, DECODED_POWERS + 200):
+    for k in range(1, _DECODED_POWERS + 200):
         product = multiply(monomial(1, k) + 1, G1 + 1)
         assert product == monomial(1, k + 1) + monomial(1, k) + G1 + 1
     info = core._decoded.cache_info()
-    assert info.maxsize == DECODED_POWERS
-    assert info.currsize <= DECODED_POWERS
+    assert info.maxsize == _DECODED_POWERS
+    assert info.currsize <= _DECODED_POWERS
 
 
 @given(finite_exponent_numbers, finite_exponent_numbers.filter(bool), st.sampled_from([1, 5, 20]))
@@ -773,7 +773,7 @@ def test_keyed_sorts_no_basis_of_one_inner_exponent(monkeypatch, x, y, k):
     # a count packed against the coefficient ONE, as faulhaber's closed form is
     core._keyed((k.terms, 4), (ONE.terms, 1))
     product, power, quotient = multiply(x, y), power_int(x, 3), divide(x, y, 5)
-    value = polynomial_at([ONE], [(6, (0, 1, 3, 2))], k)
+    value = _polynomial_at([ONE], [(6, (0, 1, 3, 2))], k)
     assert calls == []
     assert product == reference_multiply(x, y)
     assert power == reference_multiply(reference_multiply(x, x), x)
@@ -792,7 +792,7 @@ def test_keyed_sorts_a_basis_of_three_inner_exponents(monkeypatch):
     assert power_int(x, 2) == reference_multiply(x, x)
 
 
-# ------------------------------------------------------------ polynomial_at
+# ----------------------------------------------------------- _polynomial_at
 
 
 def horner(coefficients, k, denominator=1):
@@ -804,7 +804,7 @@ def horner(coefficients, k, denominator=1):
 
 
 def row(coefficients, denominator=1):
-    """``coefficients / denominator`` as ``polynomial_at``'s integer row
+    """``coefficients / denominator`` as ``_polynomial_at``'s integer row
     ``(D, (n_0, ..., n_d))``, zero-padded to d >= 1."""
     common = lcm(*[Fraction(c).denominator for c in coefficients])
     numerators = [int(c * common) for c in coefficients] + [0, 0]
@@ -821,7 +821,7 @@ coefficient_lists = st.builds(
 
 @given(coefficient_lists, st.one_of(gross_numbers(), packed_numbers), st.integers(1, 12))
 def test_polynomial_at_matches_horner(coefficients, k, denominator):
-    assert polynomial_at([ONE], [row(coefficients, denominator)], k) == horner(coefficients, k, denominator)
+    assert _polynomial_at([ONE], [row(coefficients, denominator)], k) == horner(coefficients, k, denominator)
 
 
 @pytest.mark.parametrize("k", [
@@ -835,8 +835,8 @@ def test_polynomial_at_matches_horner(coefficients, k, denominator):
     [], [0, 0], [Fraction(5, 2)], [Fraction(5, 2), 0, 0], [1, -2, 0, 3], [0, Fraction(1, 2), Fraction(-1, 3), 0],
 ], ids=["empty", "zeros", "constant", "constant-trailing-zeros", "integers", "fractions-trailing-zero"])
 def test_polynomial_at_edge_cases(coefficients, k):
-    assert polynomial_at([ONE], [row(coefficients)], k) == horner(coefficients, k)
-    assert polynomial_at([ONE], [row(coefficients, 6)], k) == horner(coefficients, k, 6)
+    assert _polynomial_at([ONE], [row(coefficients)], k) == horner(coefficients, k)
+    assert _polynomial_at([ONE], [row(coefficients, 6)], k) == horner(coefficients, k, 6)
 
 
 # One to four coefficients, with nested and fractional grosspowers and
@@ -865,10 +865,10 @@ def test_polynomial_at_sums_coefficients_times_rows(pairs, k):
     for c, denominator, numerators in pairs:
         expected = add(expected, multiply(c, horner(numerators, k, denominator)))
     rows = [(denominator, tuple(numerators)) for _, denominator, numerators in pairs]
-    assert polynomial_at([c for c, _, _ in pairs], rows, k) == expected
+    assert _polynomial_at([c for c, _, _ in pairs], rows, k) == expected
 
 
-# ------------------------------------------------------- polynomial_product
+# ------------------------------------------------------ _polynomial_product
 
 
 def reference_polynomial_product(left, right, n):
@@ -891,7 +891,7 @@ index_coefficients = st.lists(st.one_of(gross_numbers(3, 3), packed_numbers, st.
 @given(index_coefficients, index_coefficients, st.integers(0, 5))
 def test_polynomial_product_matches_pairwise_reference(left, right, n):
     assume(n or any(right))
-    result = polynomial_product(left, right, n)
+    result = _polynomial_product(left, right, n)
     assert len(result) == len(left) + n * (len(right) - 1)
     assert result == reference_polynomial_product(left, right, n)
 
@@ -908,14 +908,14 @@ def test_polynomial_product_matches_pairwise_reference(left, right, n):
     ([ONE, G1], [monomial(1, G1 + 1) + monomial(1, monomial(1, 2)), ONE], 4),  # two: products
 ])
 def test_polynomial_product_lanes_match_reference(left, right, n):
-    assert polynomial_product(left, right, n) == reference_polynomial_product(left, right, n)
+    assert _polynomial_product(left, right, n) == reference_polynomial_product(left, right, n)
 
 
 @pytest.mark.parametrize("right", [[ZERO], [ZERO, ZERO], [ZERO, ZERO, ZERO]])
 def test_polynomial_product_refuses_zero_to_the_power_0(right):
     with pytest.raises(ZeroToNonpositivePower, match="^0 cannot be raised to the power 0$"):
-        polynomial_product([G1, ONE], right, 0)
-    assert polynomial_product([G1, ONE], [ZERO, ONE], 0) == [G1, ONE]
+        _polynomial_product([G1, ONE], right, 0)
+    assert _polynomial_product([G1, ONE], [ZERO, ONE], 0) == [G1, ONE]
 
 
 @pytest.mark.parametrize("x", [

@@ -208,8 +208,8 @@ def test_a_closed_form_substitutes_the_count_once(monkeypatch, text):
     p = summand_polynomial(parse_expression(text), "i")
     assert len({g for c in p.coefficients for _, g in c.terms}) > 1
     calls = []
-    substitute = core.polynomial_at
-    monkeypatch.setattr(core, "polynomial_at", lambda *args: calls.append(args) or substitute(*args))
+    substitute = core._polynomial_at
+    monkeypatch.setattr(core, "_polynomial_at", lambda *args: calls.append(args) or substitute(*args))
     sum_polynomial(p, MANY_TERM_COUNT)
     assert len(calls) == 1
     sum_alternating_polynomial(p, 2 * G1 - 1)  # the plain sum and its even half
