@@ -29,7 +29,6 @@ from grossone.setcalc import (
     ProbabilityModel,
     affine_image,
     classify_event,
-    event_extent,
     member,
 )
 from grossone.summation import (
@@ -109,9 +108,8 @@ def main() -> None:
     print("\nOnly the impossible event has probability zero")
     for favorable in (ZERO, from_int(1), G1):
         model = ProbabilityModel(power_int(G1, 2), favorable)
-        parts = [print_canonical(Env().divide(favorable, model.total)), classify_event(model).value]
-        if favorable != ZERO:
-            parts.append(event_extent(favorable).value)
+        parts = [print_canonical(Env().divide(favorable, model.total))]
+        parts += [part.value for part in classify_event(model) if part is not None]
         show(f"P with {print_canonical(favorable)} of G1^2 outcomes", ", ".join(parts))
 
 

@@ -14,7 +14,7 @@ from typing import Optional
 from .errors import GrossoneError, ParseError
 from .evaluator import Env, evaluate_value, exec_statement, render
 from .numio import lex, parse_expression, parse_number, parse_statement
-from .setcalc import EventClass, ProbabilityModel, classify_event, event_extent
+from .setcalc import ProbabilityModel, classify_event
 from .summation import sum_expression
 
 
@@ -82,6 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", parents=[common], help="evaluate one expression")
     p_eval.add_argument("expression")
+    p_eval.set_defaults(run=cmd_eval)
 
     p_sum = sub.add_parser(
         "sum", parents=[common], help="closed-form sum with an explicit item count"
@@ -94,15 +95,18 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="sum (-1)^(i+1) * summand instead of the summand itself",
     )
+    p_sum.set_defaults(run=cmd_sum)
 
     p_prob = sub.add_parser(
         "prob", parents=[common], help="probability of an event over K elementary events"
     )
     p_prob.add_argument("--total", required=True, help="number of elementary events (K)")
     p_prob.add_argument("--favorable", required=True, help="number of favorable events (m)")
+    p_prob.set_defaults(run=cmd_prob)
 
     p_repl = sub.add_parser("repl", parents=[common], help="interactive session")
     p_repl.add_argument("--script", metavar="FILE", help="run statements from a file")
+    p_repl.set_defaults(run=cmd_repl)
 
     return parser
 
@@ -135,10 +139,9 @@ def cmd_prob(args) -> int:
     favorable = parse_number(args.favorable)
     model = ProbabilityModel(total, favorable)
     _show(_env(args).divide(favorable, total), args)
-    classification = classify_event(model)
-    print(classification.value)
-    if classification is not EventClass.IMPOSSIBLE:
-        print(event_extent(favorable).value)
+    for part in classify_event(model):
+        if part is not None:
+            print(part.value)
     return 0
 
 
@@ -186,14 +189,6 @@ def cmd_repl(args) -> int:
     return status
 
 
-_COMMANDS = {
-    "eval": cmd_eval,
-    "sum": cmd_sum,
-    "prob": cmd_prob,
-    "repl": cmd_repl,
-}
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser, built on the first call and reused by every later one."""
@@ -203,7 +198,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

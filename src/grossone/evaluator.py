@@ -136,19 +136,13 @@ def evaluate_value(ast: Ast, env: Env) -> Value:
     A function name is not a value and raises EvalError.
     """
     if isinstance(ast, Compare):
-        return evaluate_compare(ast, env)
+        return compare(evaluate(ast.left, env), evaluate(ast.right, env)) in _RELATIONS[ast.op]
     if isinstance(ast, Var):
         value = env.lookup(ast.name)
         if isinstance(value, PiecewiseDef):
             raise EvalError(f"{ast.name} is a function, not a value")
         return value
     return _call(ast, env) if isinstance(ast, Call) else evaluate(ast, env)
-
-
-def evaluate_compare(ast: Compare, env: Env) -> bool:
-    left = evaluate(ast.left, env)
-    right = evaluate(ast.right, env)
-    return compare(left, right) in _RELATIONS[ast.op]
 
 
 _KINDS = {GrossNumber: "number", ProgressionSet: "set", bool: "boolean", PiecewiseDef: "function"}
@@ -212,7 +206,8 @@ def _rational(value: GrossNumber, what: str):
 
 def _height(ast: Ast) -> int:
     """The Python frames that evaluating ``ast`` holds, leaves aside: one per
-    operator and three per call on its deepest path."""
+    ``+ - * /`` chain, which ``evaluate`` reads left to right in one loop, one
+    per other operator and three per call on its deepest path."""
     if isinstance(ast, Call):
         return 3 + max(map(_height, ast.args), default=0)
     if isinstance(ast, Unary):
@@ -239,7 +234,7 @@ def apply_function(fn: PiecewiseDef, argument: GrossNumber, env: Env) -> GrossNu
                 return evaluate(branch.body, env.bind(fn.param, argument))
     finally:
         _call_levels.reset(token)
-    raise NoBranchMatched(f"no branch of {fn.param}-piecewise function matches {argument}")
+    raise NoBranchMatched(f"no branch of {fn.name} matches {argument}")
 
 
 def make_function(definition: PiecewiseDef, env: Env) -> PiecewiseDef:
@@ -254,10 +249,7 @@ def make_function(definition: PiecewiseDef, env: Env) -> PiecewiseDef:
     return definition._replace(branches=branches, levels=levels)
 
 
-StatementResult = Optional[Value]
-
-
-def exec_statement(ast: Ast, env: Env) -> tuple[Env, StatementResult]:
+def exec_statement(ast: Ast, env: Env) -> tuple[Env, Optional[Value]]:
     """Run one session statement; returns the possibly-extended environment
     and the printable result (None for let/def)."""
     if isinstance(ast, LetBinding):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Optional
 
 from . import core
 from .core import (
@@ -51,13 +51,9 @@ class ProgressionSet:
         if not is_integer_like(self.count) or core.sign(self.count) <= 0:
             raise InvalidProgression("count must be a positive integer-like gross-number")
 
-    def element_at(self, index: GrossLike) -> GrossNumber:
-        """The index-th element (1-based); no range check."""
-        return self.start + scalar_mul(self.step, as_gross(index) - 1)
-
     @property
     def last(self) -> GrossNumber:
-        return self.element_at(self.count)
+        return self.start + scalar_mul(self.step, self.count - 1)
 
 
 NATURALS = ProgressionSet(ONE, Fraction(1), GROSSONE)
@@ -122,25 +118,22 @@ class ProbabilityModel:
             raise InvalidModel("the favorable count cannot exceed the sample space")
 
 
-def classify_event(model: ProbabilityModel) -> EventClass:
-    if not model.favorable.terms:
-        return EventClass.IMPOSSIBLE
-    if model.favorable == model.total:
-        return EventClass.CERTAIN
+def classify_event(model: ProbabilityModel) -> tuple[EventClass, Optional[EventExtent]]:
+    """The event's class and its extent: an arc when the favorable count is
+    infinite, else a point, and none for the impossible event.
+
+    >>> event_class, extent = classify_event(ProbabilityModel(GROSSONE, ONE))
+    >>> event_class.name, extent.name
+    ('INFINITESIMAL_PROBABILITY', 'POINT')
+    """
+    favorable, total = model.favorable, model.total
+    if not favorable.terms:
+        return EventClass.IMPOSSIBLE, None
+    extent = EventExtent.ARC if core.classify(favorable) is NumClass.INFINITE else EventExtent.POINT
+    if favorable == total:
+        return EventClass.CERTAIN, extent
     # favorable <= total, so P is infinitesimal exactly when the favorable
     # count's leading grosspower is below the sample space's
-    if compare(model.favorable.terms[0].exponent, model.total.terms[0].exponent) < 0:
-        return EventClass.INFINITESIMAL_PROBABILITY
-    return EventClass.FINITE_PROBABILITY
-
-
-def event_extent(m: GrossLike) -> EventExtent:
-    """Point when the favorable count is finite, arc when it is infinite."""
-    cls = core.classify(as_gross(m))
-    if cls is NumClass.FINITE_NONZERO:
-        return EventExtent.POINT
-    if cls is NumClass.INFINITE:
-        return EventExtent.ARC
-    if cls is NumClass.ZERO:
-        raise InvalidModel("the impossible event has no extent")
-    raise InvalidModel("a favorable count cannot be infinitesimal")
+    if compare(favorable.terms[0].exponent, total.terms[0].exponent) < 0:
+        return EventClass.INFINITESIMAL_PROBABILITY, extent
+    return EventClass.FINITE_PROBABILITY, extent

@@ -48,7 +48,6 @@ from grossone.setcalc import (
     ProgressionSet,
     affine_image,
     classify_event,
-    event_extent,
     member,
     product_count,
 )
@@ -169,18 +168,17 @@ def test_criterion_6_infinitesimal_probabilities():
             p = probability(model)
             assert p == scalar_mul(m, monomial(1, -1))
             assert sign(p) > 0 and classify(p) is NumClass.INFINITESIMAL
-            assert classify_event(model) is EventClass.INFINITESIMAL_PROBABILITY
-            assert event_extent(model.favorable) is EventExtent.POINT
+            assert classify_event(model) == (EventClass.INFINITESIMAL_PROBABILITY, EventExtent.POINT)
         finer = ProbabilityModel(power_int(G1, 2), from_int(3))
         assert probability(finer) == scalar_mul(3, monomial(1, -2))
-        assert classify_event(finer) is EventClass.INFINITESIMAL_PROBABILITY
+        assert classify_event(finer) == (EventClass.INFINITESIMAL_PROBABILITY, EventExtent.POINT)
         impossible = ProbabilityModel(G1, ZERO)
         assert probability(impossible) == ZERO
-        assert classify_event(impossible) is EventClass.IMPOSSIBLE
+        assert classify_event(impossible) == (EventClass.IMPOSSIBLE, None)
         for m in (from_int(2), HALF_G1, G1):
             assert probability(ProbabilityModel(G1, m)) != ZERO
         arc = ProbabilityModel(power_int(G1, 2), G1)
-        assert event_extent(arc.favorable) is EventExtent.ARC
+        assert classify_event(arc) == (EventClass.INFINITESIMAL_PROBABILITY, EventExtent.ARC)
         assert probability(arc) == monomial(1, -1)
 
 
@@ -342,7 +340,7 @@ def test_criterion_8_property_sweeps():
                 if start_index == 1 and ratio == 1 and sub_count == superset_count:
                     sub_count -= 1
                 subset = ProgressionSet(
-                    superset.element_at(start_index),
+                    ProgressionSet(superset.start, superset.step, from_int(start_index)).last,
                     superset.step * ratio,
                     from_int(sub_count),
                 )

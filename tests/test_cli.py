@@ -314,10 +314,14 @@ def test_sum_var_must_be_a_name(capsys, var):
 # --------------------------------------------------------------------- prob
 
 
-def test_prob_single_point(capsys):
-    code, out, _ = run(capsys, "prob", "--total", "G1", "--favorable", "1")
+@pytest.mark.parametrize(
+    "total, favorable, probability, event_class",
+    [("G1", "1", "G1^{-1}", "InfinitesimalProbability"), ("12", "3", "0.25", "FiniteProbability")],
+)
+def test_prob_single_point(capsys, total, favorable, probability, event_class):
+    code, out, _ = run(capsys, "prob", "--total", total, "--favorable", favorable)
     assert code == 0
-    assert out == "G1^{-1}\nInfinitesimalProbability\nPoint\n"
+    assert out == f"{probability}\n{event_class}\nPoint\n"
 
 
 def test_prob_impossible(capsys):
@@ -326,10 +330,18 @@ def test_prob_impossible(capsys):
     assert out == "0\nImpossible\n"
 
 
-def test_prob_arc(capsys):
-    code, out, _ = run(capsys, "prob", "--total", "G1^{2}", "--favorable", "G1")
+@pytest.mark.parametrize(
+    "total, favorable, probability, event_class",
+    [
+        ("G1^{2}", "G1", "G1^{-1}", "InfinitesimalProbability"),
+        ("G1", "G1", "1", "Certain"),
+        ("2*G1", "G1", "0.5", "FiniteProbability"),
+    ],
+)
+def test_prob_arc(capsys, total, favorable, probability, event_class):
+    code, out, _ = run(capsys, "prob", "--total", total, "--favorable", favorable)
     assert code == 0
-    assert out == "G1^{-1}\nInfinitesimalProbability\nArc\n"
+    assert out == f"{probability}\n{event_class}\nArc\n"
 
 
 def test_prob_honours_div_truncate(capsys):
@@ -338,10 +350,19 @@ def test_prob_honours_div_truncate(capsys):
     assert out == "G1^{-1} - G1^{-2} + G1^{-3}\nInfinitesimalProbability\nPoint\n"
 
 
-def test_prob_invariant_violation(capsys):
-    code, _, err = run(capsys, "prob", "--total", "G1", "--favorable", "G1 + 1")
-    assert code == 3
-    assert "exceed" in err
+@pytest.mark.parametrize(
+    "total, favorable, message",
+    [
+        ("G1", "G1 + 1", "the favorable count cannot exceed the sample space"),
+        ("0", "0", "the sample space must have a positive number of events"),
+        ("-1", "0", "the sample space must have a positive number of events"),
+        ("G1", "-1", "the favorable count cannot be negative"),
+    ],
+    ids=["favorable above total", "zero total", "negative total", "negative favorable"],
+)
+def test_prob_invariant_violation(capsys, total, favorable, message):
+    code, out, err = run(capsys, "prob", "--total", total, "--favorable", favorable)
+    assert (code, out, err) == (3, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -360,6 +381,7 @@ def test_missing_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main([])
     assert exit_info.value.code == 1
+    assert capsys.readouterr().err.endswith("error: the following arguments are required: command\n")
 
 
 def test_unknown_flag_is_a_usage_error(capsys):
@@ -453,6 +475,10 @@ def test_repl_sets_share_the_namespace(tmp_path, capsys):
         ("let f = 2\nf(3)\n", "<stdin>:2: f is a number, not a function"),
         ("def a(x) = x\na\n", "<stdin>:2: a is a function, not a value"),
         ("def f(x) = f(x)\nf(1)\n", "<stdin>:2: calls of f nest deeper than 400 levels"),
+        (
+            "def f(x) = { 1 if x < 0 }\ndef g(x) = { 1 if x > 0 }\nf(-1) + g(-1)\n",
+            "<stdin>:3: no branch of g matches -1",
+        ),
     ],
 )
 def test_repl_names_what_a_binding_holds(monkeypatch, capsys, session, message):

@@ -34,7 +34,6 @@ from grossone.evaluator import (
     evaluate_value,
     apply_function,
     evaluate,
-    evaluate_compare,
     exec_statement,
 )
 from grossone.numio import (
@@ -117,7 +116,7 @@ def test_apply_piecewise_branches(example_env):
 
 def test_no_branch_matched():
     fn = PiecewiseDef("f", "x", (Branch(parse_expression("x"), "<", Literal(ZERO)),))
-    with pytest.raises(NoBranchMatched):
+    with pytest.raises(NoBranchMatched, match="^no branch of f matches 1$"):
         apply_function(fn, ONE, Env())
 
 
@@ -180,9 +179,9 @@ def test_wrong_arity():
 def test_comparison_is_not_a_value():
     with pytest.raises(EvalError):
         run("1 < 2", Env())
-    assert evaluate_compare(parse_expression("1 < 2"), Env()) is True
-    assert evaluate_compare(parse_expression("G1 <= 5"), Env()) is False
-    assert evaluate_compare(parse_expression("G1^{-1} > 0"), Env()) is True
+    assert evaluate_value(parse_expression("1 < 2"), Env()) is True
+    assert evaluate_value(parse_expression("G1 <= 5"), Env()) is False
+    assert evaluate_value(parse_expression("G1^{-1} > 0"), Env()) is True
 
 
 # --------------------------------------------------------------- statements
@@ -321,6 +320,16 @@ def test_calls_at_the_limit_over_the_deepest_values_finish():
     assert run("g(79)", env) == ZERO
     with pytest.raises(LimitExceeded, match="calls of g nest"):
         run("g(80)", env)
+
+
+def test_an_operator_chain_holds_one_call_level():
+    # the four additions, read left to right, are one level, where one per
+    # operator would give 9 levels and stop near f(44)
+    env = session("def f(x) = { 1 if x <= 0; f(x - 1) + x + x + x + x if x > 0 }")
+    assert env.lookup("f").levels == 6
+    assert run("f(65)", env) == from_int(1 + 4 * sum(range(66)))
+    with pytest.raises(LimitExceeded, match="calls of f nest"):
+        run("f(66)", env)
 
 
 def test_recursion_within_the_call_limit():
