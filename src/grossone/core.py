@@ -18,12 +18,13 @@ Inside ``multiply``, ``divide``, ``power_int`` and the two polynomial
 kernels grosspowers and grossdigits run as integers: ``_keyed`` packs the
 grosspowers of its parts, one integer key each, whose sum and order are
 those of the grosspowers, and hands each part back over its own scale.  So
-their loops do only integer arithmetic, and ``_from_keyed`` builds one
-Fraction per result term.  Long division keeps its remainder as a dict
-from key to integer; a one-term divisor is a shift through ``multiply``,
-exact whatever the dividend's length.  Every power of a longer base runs
-on the keys in ``_raised``: n - 1 products up to n = 4, Miller's
-recurrence above.  For ``summation``, ``_polynomial_product`` expands a
+their loops do only integer arithmetic, and ``_ratio`` is the one way
+their integers become coefficients, in the loops and in ``_from_keyed``:
+one gcd, without ``Fraction.__new__``.  Long division keeps its
+remainder as a dict from key to integer; a one-term divisor is a shift
+through ``multiply``, exact whatever the dividend's length.  Every power
+of a longer base runs on the keys in ``_raised``: n - 1 products up to
+n = 4, Miller's recurrence above.  For ``summation``, ``_polynomial_product`` expands a
 summand with its index as the top digit, and ``_polynomial_at`` substitutes
 a closed form's count into the sum of the summand's coefficients times
 integer rows: one packing, one Horner pass, one ``_from_keyed``.
@@ -89,6 +90,26 @@ class Parity(Enum):
 
 
 _ZERO_FRACTION = Fraction(0)
+_new_object = object.__new__
+_new_tuple = tuple.__new__
+
+
+def _ratio(n: int, d: int) -> Fraction:
+    """The Fraction n/d, d nonzero, in lowest terms over a positive
+    denominator, written into its two slots.  ``Fraction(n, d)`` also tests
+    its arguments' types, and on CPython 3.10 to 3.13 (x86-64) it takes 2 to
+    2.5 times as long; ``tests/test_core.py`` pins the slots.
+
+    >>> _ratio(6, -4)
+    Fraction(-3, 2)
+    """
+    g = gcd(n, d)
+    if d < 0:
+        g = -g
+    q = _new_object(Fraction)
+    q._numerator = n // g
+    q._denominator = d // g
+    return q
 
 
 class GrossTerm(NamedTuple):
@@ -280,9 +301,9 @@ def sign(x: GrossNumber) -> int:
 def compare(x: GrossNumber, y: GrossNumber) -> int:
     """Dominance-order comparison; equals sign(x - y).
 
-    Coefficient comparisons run on raw numerators/denominators (the
-    denominator is always positive) to stay off the slow generic
-    rational-comparison path.
+    Coefficient comparisons run on the Fractions' slots (the denominator
+    is always positive), which skips both the generic rational comparison
+    and the ``numerator``/``denominator`` properties.
     """
     if x is y:
         return 0
@@ -293,8 +314,8 @@ def compare(x: GrossNumber, y: GrossNumber) -> int:
     ):
         a = xt[0].coefficient if xt else _ZERO_FRACTION
         b = yt[0].coefficient if yt else _ZERO_FRACTION
-        lhs = a.numerator * b.denominator
-        rhs = b.numerator * a.denominator
+        lhs = a._numerator * b._denominator
+        rhs = b._numerator * a._denominator
         return 0 if lhs == rhs else (1 if lhs > rhs else -1)
     i, j = 0, 0
     nx, ny = len(xt), len(yt)
@@ -302,19 +323,19 @@ def compare(x: GrossNumber, y: GrossNumber) -> int:
         if i >= nx and j >= ny:
             return 0
         if i >= nx:
-            return -1 if yt[j].coefficient.numerator > 0 else 1
+            return -1 if yt[j].coefficient._numerator > 0 else 1
         if j >= ny:
-            return 1 if xt[i].coefficient.numerator > 0 else -1
+            return 1 if xt[i].coefficient._numerator > 0 else -1
         tx, ty = xt[i], yt[j]
         c = compare(tx.exponent, ty.exponent)
         if c > 0:
-            return 1 if tx.coefficient.numerator > 0 else -1
+            return 1 if tx.coefficient._numerator > 0 else -1
         if c < 0:
-            return -1 if ty.coefficient.numerator > 0 else 1
+            return -1 if ty.coefficient._numerator > 0 else 1
         a, b = tx.coefficient, ty.coefficient
-        if a.numerator != b.numerator or a.denominator != b.denominator:
-            lhs = a.numerator * b.denominator
-            rhs = b.numerator * a.denominator
+        if a._numerator != b._numerator or a._denominator != b._denominator:
+            lhs = a._numerator * b._denominator
+            rhs = b._numerator * a._denominator
             return 1 if lhs > rhs else -1
         i += 1
         j += 1
@@ -343,9 +364,10 @@ def add(x: GrossNumber, y: GrossNumber) -> GrossNumber:
             out.append(ty)
             j += 1
         else:
-            merged = tx.coefficient + ty.coefficient
-            if merged:
-                out.append(GrossTerm(merged, tx.exponent))
+            a, b = tx.coefficient, ty.coefficient
+            n = a._numerator * b._denominator + b._numerator * a._denominator
+            if n:
+                out.append(_new_tuple(GrossTerm, (_ratio(n, a._denominator * b._denominator), tx.exponent)))
             i += 1
             j += 1
     out.extend(xt[i:])
@@ -354,7 +376,15 @@ def add(x: GrossNumber, y: GrossNumber) -> GrossNumber:
 
 
 def negate(x: GrossNumber) -> GrossNumber:
-    return GrossNumber(tuple(GrossTerm(-t.coefficient, t.exponent) for t in x.terms))
+    return GrossNumber(tuple(_new_tuple(GrossTerm, (_negated(c), p)) for c, p in x.terms))
+
+
+def _negated(c: Fraction) -> Fraction:
+    """-c, already in lowest terms, so with no gcd."""
+    q = _new_object(Fraction)
+    q._numerator = -c._numerator
+    q._denominator = c._denominator
+    return q
 
 
 def subtract(x: GrossNumber, y: GrossNumber) -> GrossNumber:
@@ -380,9 +410,13 @@ def multiply(x: GrossNumber, y: GrossNumber) -> GrossNumber:
         x, y = y, x
     if len(y.terms) == 1:
         cy, py = y.terms[0]
-        return GrossNumber(tuple(GrossTerm(cx * cy, add(px, py)) for cx, px in x.terms))
+        n, d = cy._numerator, cy._denominator
+        terms = [_new_tuple(GrossTerm, (_ratio(cx._numerator * n, cx._denominator * d), add(px, py)))
+                 for cx, px in x.terms]
+        return GrossNumber(tuple(terms))
     codec, [(dx, xs), (dy, ys)] = _keyed((x.terms, 1), (y.terms, 1))
-    return _from_keyed(codec, [(k, Fraction(c, dx * dy)) for k, c in _decreasing(_convolve(xs, ys, {}))])
+    scale = dx * dy
+    return _from_keyed(codec, [(k, _ratio(c, scale)) for k, c in _decreasing(_convolve(xs, ys, {}))])
 
 
 def _convolve(xs: Iterable, ys: list, products: dict) -> dict:
@@ -423,22 +457,22 @@ def _keyed(*parts):
         for _, p in terms:
             for q, e in p.terms:
                 inner[e] = None
-                denominators.append(q.denominator)
+                denominators.append(q._denominator)
     basis = sorted(inner, key=cmp_to_key(compare), reverse=True) if len(inner) > 1 else list(inner)
     scale = lcm(*denominators)
-    bound = sum(reach * max([abs(q.numerator) * (scale // q.denominator) for _, p in terms for q, _ in p.terms],
+    bound = sum(reach * max([abs(q._numerator) * (scale // q._denominator) for _, p in terms for q, _ in p.terms],
                             default=0) for terms, reach in parts)
     places = [(2 * bound + 1) ** i for i in range(len(basis), -1, -1)]
     place = dict(zip(basis, places[1:]))
     packed = []
     for terms, _ in parts:
-        s = lcm(*[c.denominator for c, _ in terms])
+        s = lcm(*[c._denominator for c, _ in terms])
         pairs = []
         for c, p in terms:
             key = 0
             for q, e in p.terms:
-                key += q.numerator * (scale // q.denominator) * place[e]
-            pairs.append((key, c.numerator * (s // c.denominator)))
+                key += q._numerator * (scale // q._denominator) * place[e]
+            pairs.append((key, c._numerator * (s // c._denominator)))
         packed.append((s, pairs))
     return (basis, scale, places), packed
 
@@ -469,7 +503,8 @@ def _from_keyed(codec: tuple, keyed: list) -> GrossNumber:
     basis, scale, places = codec
     if len(basis) == 1:
         unit = basis[0]
-        return GrossNumber(tuple(GrossTerm(c, _decoded(k, scale, unit) if k else ZERO) for k, c in keyed))
+        terms = [_new_tuple(GrossTerm, (c, _decoded(k, scale, unit) if k else ZERO)) for k, c in keyed]
+        return GrossNumber(tuple(terms))
     made: dict = {}
     out = []
     for key, c in keyed:
@@ -482,9 +517,9 @@ def _from_keyed(codec: tuple, keyed: list) -> GrossNumber:
                 key -= d * place
                 term = made.get((d, j))
                 if term is None:
-                    term = made[d, j] = GrossTerm(Fraction(d, scale), basis[j])
+                    term = made[d, j] = _new_tuple(GrossTerm, (_ratio(d, scale), basis[j]))
                 inner.append(term)
-        out.append(GrossTerm(c, GrossNumber(tuple(inner)) if inner else ZERO))
+        out.append(_new_tuple(GrossTerm, (c, GrossNumber(tuple(inner)) if inner else ZERO)))
     return GrossNumber(tuple(out))
 
 
@@ -492,7 +527,7 @@ def _from_keyed(codec: tuple, keyed: list) -> GrossNumber:
 def _decoded(key: int, scale: int, unit: GrossNumber) -> GrossNumber:
     """The grosspower ``(key/scale)*G1^unit``, one shared value per
     ``(key, scale, unit)`` among the last ``_DECODED_POWERS`` decoded."""
-    return GrossNumber((GrossTerm(Fraction(key, scale), unit),))
+    return GrossNumber((_new_tuple(GrossTerm, (_ratio(key, scale), unit)),))
 
 
 def scalar_mul(q: RationalLike, x: GrossNumber) -> GrossNumber:
@@ -528,7 +563,7 @@ def power_int(x: GrossNumber, n: int) -> GrossNumber:
         )
     codec, [(scale, xs)] = _keyed((x.terms, n))
     scale **= n
-    return _from_keyed(codec, [(k, Fraction(c, scale)) for k, c in _raised(xs, n)])
+    return _from_keyed(codec, [(k, _ratio(c, scale)) for k, c in _raised(xs, n)])
 
 
 def _raised(xs: list, n: int) -> list:
@@ -601,7 +636,7 @@ def _polynomial_at(coefficients: list, rows: list, k: GrossNumber) -> GrossNumbe
     for column in reversed(columns):
         value = _convolve(value.items(), ks, column)
     scale = common * sc * powers[degree]
-    return _from_keyed(codec, [(key, Fraction(c, scale)) for key, c in _decreasing(value)])
+    return _from_keyed(codec, [(key, _ratio(c, scale)) for key, c in _decreasing(value)])
 
 
 def _polynomial_product(left: list, right: list, n: int = 1) -> list:
@@ -639,7 +674,7 @@ def _polynomial_product(left: list, right: list, n: int = 1) -> list:
     scale = sl * sr**n
     for key, c in _decreasing(_convolve(ls, rs, {})):
         j = (key + (top >> 1)) // top
-        out[j].append((key - j * top, Fraction(c, scale)))
+        out[j].append((key - j * top, _ratio(c, scale)))
     return [_from_keyed(codec, pairs) if pairs else ZERO for pairs in out]
 
 
@@ -738,7 +773,7 @@ def divide(x: GrossNumber, y: GrossNumber, max_terms: int = DEFAULT_DIV_TERMS) -
         key = max(remainder)
         c = remainder.pop(key)
         shift = key - lead_key
-        quotient.append((shift, Fraction(c * dy, delta * a0)))
+        quotient.append((shift, _ratio(c * dy, delta * a0)))
         g = gcd(c, a0)
         s, t = a0 // g, c // g
         if s != 1:
@@ -755,7 +790,7 @@ def divide(x: GrossNumber, y: GrossNumber, max_terms: int = DEFAULT_DIV_TERMS) -
         raise _over_cap(max_terms)
     return DivResult(
         _from_keyed(codec, quotient),
-        _from_keyed(codec, [(k, Fraction(r, delta)) for k, r in _decreasing(remainder)]),
+        _from_keyed(codec, [(k, _ratio(r, delta)) for k, r in _decreasing(remainder)]),
         exact=not remainder,
         terms_emitted=len(quotient),
     )
@@ -769,10 +804,21 @@ def exact_divide(x: GrossNumber, y: GrossNumber) -> GrossNumber:
     """x / y, or InexactDivision when ``divide`` leaves a remainder within
     ``DEFAULT_DIV_TERMS`` quotient terms.  A single-term divisor always
     divides exactly, whatever the length of x: the quotient is x times
-    ``y^-1``, through ``multiply``, with no budget."""
+    ``y^-1``, through ``multiply``, with no budget.
+
+    An exact quotient q of a nonzero x has top(x) = top(q) + top(y) and
+    low(x) = low(q) + low(y), top and low being the largest and smallest
+    grosspowers, so ``top(x) - top(y) >= low(x) - low(y)``.  When that
+    fails there is none, and one quotient term shows the remainder.
+    """
     if len(y.terms) == 1:
         return multiply(x, power_int(y, -1))
-    result = divide(x, y)
+    budget = DEFAULT_DIV_TERMS
+    if x.terms and y.terms:
+        (_, top), (_, low) = x.terms[0], x.terms[-1]
+        if compare(add(top, y.terms[-1].exponent), add(low, y.terms[0].exponent)) < 0:
+            budget = 1
+    result = divide(x, y, budget)
     if not result.exact:
         raise InexactDivision(
             f"({x}) / ({y}) leaves remainder {result.remainder} "

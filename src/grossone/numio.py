@@ -62,7 +62,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple, Union
 
 from . import core
-from .core import MAX_NESTING, GrossNumber, GrossTerm, ONE, ZERO, compare, normalize
+from .core import MAX_NESTING, GrossNumber, GrossTerm, ONE, ZERO, _ratio, compare, normalize
 from .errors import DepthLimitExceeded, LimitExceeded, ParseError, UnknownCharacter
 
 
@@ -294,7 +294,7 @@ class _Parser:
                         raise self.fail("a fraction is integer / nonzero integer", token.offset)
                     scale = divisor
                 canonical = canonical and numerator != 0
-                coefficient = Fraction(-numerator if negative else numerator, scale)
+                coefficient = _ratio(-numerator if negative else numerator, scale)
                 has_g1 = tokens[self.index].kind == "*"
                 if has_g1:
                     self.index += 1
@@ -431,7 +431,7 @@ class _Parser:
         if kind == "number":
             self.index += 1
             numerator, scale = self.decimal(token)
-            return Literal(GrossNumber((GrossTerm(Fraction(numerator, scale), ZERO),)) if numerator else ZERO)
+            return Literal(GrossNumber((GrossTerm(_ratio(numerator, scale), ZERO),)) if numerator else ZERO)
         if kind == "G1":
             self.index += 1
             return _G1_LITERAL

@@ -4,6 +4,8 @@ classification, parity."""
 from fractions import Fraction
 from functools import reduce
 from math import comb, gcd, lcm
+import random
+import re
 
 import pytest
 from hypothesis import assume, given
@@ -42,6 +44,7 @@ from grossone.core import (
     parity,
     _polynomial_at,
     _polynomial_product,
+    _ratio,
     power_gross,
     power_int,
     scalar_mul,
@@ -59,7 +62,14 @@ from grossone.errors import (
 )
 from grossone.numio import parse_number, print_canonical
 
-from support import gross_numbers, positive_rationals, small_rationals
+from support import (
+    gross_numbers,
+    positive_rationals,
+    random_gross,
+    random_nonzero_fraction,
+    random_nonzero_gross,
+    small_rationals,
+)
 
 G1 = GROSSONE
 G1_INV = monomial(1, -1)
@@ -274,6 +284,37 @@ def test_divide_truncates_nonterminating_expansion():
 def test_exact_divide_raises_when_inexact():
     with pytest.raises(InexactDivision):
         exact_divide(ONE, 1 + G1_INV)
+
+
+def _spans_cross(x, y):
+    """top(x) - top(y) < low(x) - low(y): an exact quotient's grosspowers
+    would lie between the two, so x/y has none."""
+    return subtract(x.terms[0].exponent, y.terms[0].exponent) < subtract(x.terms[-1].exponent, y.terms[-1].exponent)
+
+
+@pytest.mark.parametrize("x, y", [
+    (ONE, 1 + G1_INV),
+    (ONE, monomial(1, G1) + 1),  # 1/(G1^{G1}+1), over a nested basis
+    (G1 + 1, power_int(G1, 3) + G1_INV),
+])
+def test_exact_divide_refuses_after_one_step_when_the_spans_cross(x, y):
+    assert _spans_cross(x, y)
+    remainder = divide(x, y, 1).remainder
+    with pytest.raises(InexactDivision, match=rf"leaves remainder {re.escape(str(remainder))} after 1 quotient terms$"):
+        exact_divide(x, y)
+
+
+def test_crossed_spans_are_inexact_within_the_default_budget():
+    rng = random.Random(20260418)
+    crossed = 0
+    for _ in range(400):
+        x, y = random_nonzero_gross(rng, 2, 4), random_nonzero_gross(rng, 2, 4)
+        if len(y.terms) > 1 and _spans_cross(x, y):
+            crossed += 1
+            assert not divide(x, y).exact
+            with pytest.raises(InexactDivision, match="after 1 quotient terms$"):
+                exact_divide(x, y)
+    assert crossed > 100
 
 
 def test_divide_refuses_a_budget_above_the_cap():
@@ -573,9 +614,11 @@ def test_wide_coefficients_match_reference(numbers, data):
 
 
 def _reduced(x):
+    """Every coefficient of x and of its grosspowers, to any depth, is a
+    plain Fraction in lowest terms over a positive denominator."""
     return all(
-        t.coefficient.denominator > 0 and gcd(t.coefficient.numerator, t.coefficient.denominator) == 1
-        for t in x.terms
+        type(c) is Fraction and c.denominator > 0 and gcd(c.numerator, c.denominator) == 1 and _reduced(p)
+        for c, p in x.terms
     )
 
 
@@ -617,6 +660,46 @@ def test_single_term_divisor_always_divides_exactly():
     assert exact_divide(ZERO, G1) == ZERO
     # a budget still truncates divide itself
     assert divide(x, G1, 3) == reference_divide(x, G1, 3)
+
+
+# ------------------------------------------------------------ coefficients
+
+
+def test_ratio_is_the_fraction_that_fraction_builds():
+    # _ratio writes these two slots itself
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+    rng = random.Random(1203)
+    # 0 over a negative denominator is 0/1
+    pairs = [(0, -5), (0, 1), (6, -4), (-6, -4), (-1, 1), (2**2000 + 1, -(3**1200))]
+    for bits in (8, 64, 2000):
+        for _ in range(200):
+            n, d = rng.getrandbits(bits) - rng.getrandbits(bits), rng.getrandbits(bits) or 1
+            pairs.append((n, d if rng.random() < 0.5 else -d))
+    for n, d in pairs:
+        made, expected = _ratio(n, d), Fraction(n, d)
+        assert type(made) is Fraction
+        assert (made.numerator, made.denominator) == (expected.numerator, expected.denominator)
+        assert (made, hash(made), repr(made)) == (expected, hash(expected), repr(expected))
+
+
+def test_kernels_return_canonical_coefficients():
+    rng = random.Random(2026)
+    divisors = [Fraction(-7, 3) + G1_INV, Fraction(-7, 3) * G1 + Fraction(5, 2) - G1_INV]
+    divisors += [random_nonzero_gross(rng, 2, 4) for _ in range(30)]
+    for y in divisors:
+        x = random_gross(rng, 2, 4)
+        for value in (add(x, y), subtract(x, y), negate(y), multiply(x, y), multiply(x, monomial(Fraction(-4, 6), y))):
+            assert _reduced(value)
+        for budget in (1, 2, 7, 20, 60):
+            result = divide(x, y, budget)
+            assert _reduced(result.quotient) and _reduced(result.remainder)
+        assert _reduced(exact_divide(multiply(x, y), y))
+        if len(y.terms) <= 3:
+            for n in range(2, 7):
+                assert _reduced(power_int(y, n))
+        c = random_nonzero_fraction(rng)
+        assert _reduced(_polynomial_at([x, y], [(6, (1, -3, 2)), (-4, (5,))], monomial(c, y)))
+        assert all(map(_reduced, _polynomial_product([x, y], [y, from_rational(c)], 3)))
 
 
 # --------------------------------------------------------------- power_int
