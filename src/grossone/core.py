@@ -91,6 +91,8 @@ class Parity(Enum):
 
 _ZERO_FRACTION = Fraction(0)
 _new_object = object.__new__
+# A NamedTuple's generated __new__ is a Python function; this builds the
+# same tuple without calling it.
 _new_tuple = tuple.__new__
 
 
@@ -189,8 +191,6 @@ class GrossNumber:
         return exact_divide(as_gross(other), self)
 
     def __pow__(self, exponent: GrossLike) -> "GrossNumber":
-        if isinstance(exponent, int):
-            return power_int(self, exponent)
         return power_gross(self, as_gross(exponent))
 
     def __bool__(self) -> bool:
@@ -718,12 +718,24 @@ def power_gross(x: GrossNumber, k: GrossNumber) -> GrossNumber:
 
 @dataclass(frozen=True)
 class DivResult:
-    """Outcome of truncated long division: dividend = quotient*divisor + remainder."""
+    """Outcome of truncated long division: dividend = quotient*divisor + remainder.
+    Each step emits one quotient term, so ``terms_emitted`` is its length.
+
+    >>> result = divide(GROSSONE + 1, GROSSONE, 1)
+    >>> result.quotient, result.remainder, result.exact, result.terms_emitted
+    (1, 1, False, 1)
+    """
 
     quotient: GrossNumber
     remainder: GrossNumber
-    exact: bool
-    terms_emitted: int
+
+    @property
+    def exact(self) -> bool:
+        return not self.remainder.terms
+
+    @property
+    def terms_emitted(self) -> int:
+        return len(self.quotient.terms)
 
 
 def divide(x: GrossNumber, y: GrossNumber, max_terms: int = DEFAULT_DIV_TERMS) -> DivResult:
@@ -732,9 +744,9 @@ def divide(x: GrossNumber, y: GrossNumber, max_terms: int = DEFAULT_DIV_TERMS) -
     Quotient terms come out in strictly decreasing exponent order until the
     remainder vanishes or ``max_terms`` terms have been emitted.  The
     identity ``x == quotient * y + remainder`` always holds exactly.  A
-    budget above ``MAX_DIV_TERMS`` is honoured up to that cap: a division
-    whose quotient would need more than ``MAX_DIV_TERMS`` terms raises
-    LimitExceeded once it has emitted that many, and any other finishes.
+    budget above ``MAX_DIV_TERMS`` is honoured up to that cap: one check,
+    on the result of either branch below, raises LimitExceeded when the
+    quotient needs more terms than the cap, and any other finishes.
 
     A single-term divisor is a monomial shift: the quotient is the first
     ``max_terms`` terms of x times ``y^-1``, through ``multiply``, and the
@@ -757,47 +769,36 @@ def divide(x: GrossNumber, y: GrossNumber, max_terms: int = DEFAULT_DIV_TERMS) -
         raise ValueError("max_terms must be at least 1")
     steps = min(max_terms, MAX_DIV_TERMS)
     if len(y.terms) == 1:
-        if steps < max_terms and len(x.terms) > steps:
-            raise _over_cap(max_terms)
-        return DivResult(
-            multiply(GrossNumber(x.terms[:steps]), power_int(y, -1)),
-            GrossNumber(x.terms[steps:]),
-            exact=len(x.terms) <= steps,
-            terms_emitted=min(len(x.terms), steps),
+        result = DivResult(multiply(GrossNumber(x.terms[:steps]), power_int(y, -1)), GrossNumber(x.terms[steps:]))
+    else:
+        codec, [(delta, xs), (dy, ys)] = _keyed((x.terms, 1), (y.terms, 2 * steps))
+        (lead_key, a0), *tail = ys
+        remainder = dict(xs)
+        quotient = []
+        while remainder and len(quotient) < steps:
+            key = max(remainder)
+            c = remainder.pop(key)
+            shift = key - lead_key
+            quotient.append((shift, _ratio(c * dy, delta * a0)))
+            g = gcd(c, a0)
+            s, t = a0 // g, c // g
+            if s != 1:
+                remainder = {k: s * r for k, r in remainder.items()}
+                delta *= s
+            for k, a in tail:
+                k += shift
+                r = remainder.get(k, 0) - t * a
+                if r:
+                    remainder[k] = r
+                else:
+                    del remainder[k]  # t*a is not 0, so k was there
+        result = DivResult(
+            _from_keyed(codec, quotient),
+            _from_keyed(codec, [(k, _ratio(r, delta)) for k, r in _decreasing(remainder)]),
         )
-    codec, [(delta, xs), (dy, ys)] = _keyed((x.terms, 1), (y.terms, 2 * steps))
-    (lead_key, a0), *tail = ys
-    remainder = dict(xs)
-    quotient = []
-    while remainder and len(quotient) < steps:
-        key = max(remainder)
-        c = remainder.pop(key)
-        shift = key - lead_key
-        quotient.append((shift, _ratio(c * dy, delta * a0)))
-        g = gcd(c, a0)
-        s, t = a0 // g, c // g
-        if s != 1:
-            remainder = {k: s * r for k, r in remainder.items()}
-            delta *= s
-        for k, a in tail:
-            k += shift
-            r = remainder.get(k, 0) - t * a
-            if r:
-                remainder[k] = r
-            else:
-                del remainder[k]  # t*a is not 0, so k was there
-    if remainder and steps < max_terms:
-        raise _over_cap(max_terms)
-    return DivResult(
-        _from_keyed(codec, quotient),
-        _from_keyed(codec, [(k, _ratio(r, delta)) for k, r in _decreasing(remainder)]),
-        exact=not remainder,
-        terms_emitted=len(quotient),
-    )
-
-
-def _over_cap(max_terms: int) -> LimitExceeded:
-    return LimitExceeded(f"a division may emit at most {MAX_DIV_TERMS} quotient terms, not {max_terms}")
+    if steps < max_terms and not result.exact:
+        raise LimitExceeded(f"a division may emit at most {MAX_DIV_TERMS} quotient terms, not {max_terms}")
+    return result
 
 
 def exact_divide(x: GrossNumber, y: GrossNumber) -> GrossNumber:

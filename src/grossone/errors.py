@@ -86,7 +86,6 @@ class EvalError(GrossoneError):
 class UnboundName(EvalError):
     def __init__(self, name: str):
         super().__init__(f"unbound name {name}")
-        self.name = name
 
 
 class NoBranchMatched(EvalError):

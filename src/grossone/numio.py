@@ -26,8 +26,8 @@ coefficient, they are the value as they stand, and only otherwise does
 
 Input nests at most ``core.MAX_NESTING`` levels, as values do: ``(``, a
 call's arguments, ``{``, the operand of unary ``+ -`` and the right operand
-of ``^`` each open one (``^{`` opens one); a numeral read whole counts only
-its braces.  ``+ - * /`` chains do not nest.
+of ``^`` each open one (``^{`` opens one); a numeral read whole holds one
+and counts its braces apart.  ``+ - * /`` chains do not nest.
 
 Statements (one per line in session scripts; '#' starts a comment)::
 
@@ -62,7 +62,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple, Union
 
 from . import core
-from .core import MAX_NESTING, GrossNumber, GrossTerm, ONE, ZERO, _ratio, compare, normalize
+from .core import MAX_NESTING, GrossNumber, GrossTerm, ONE, ZERO, _new_tuple, _ratio, compare, normalize
 from .errors import DepthLimitExceeded, LimitExceeded, ParseError, UnknownCharacter
 
 
@@ -81,10 +81,6 @@ _TOKEN = re.compile(r"[ \t\r\n]*([-+*/^(){},=;≤≥①]|[<>]=?|[0-9]+(?:\.[0-9]
 # The kind of every lexeme but a number's and a name's.
 _KINDS = {kind: kind for kind in ("<=", ">=", "G1", "let", "def", "if", *"+-*/^(){},=;<>")}
 _KINDS.update({"≤": "<=", "≥": ">=", "①": "G1"})
-
-# A NamedTuple's generated __new__ is a Python function; this builds the
-# same tuple without calling it.
-_new_tuple = tuple.__new__
 
 
 def lex(text: str) -> list[Token]:
@@ -133,8 +129,7 @@ class Var(NamedTuple):
 
 
 class Unary(NamedTuple):
-    op: str
-    operand: Ast
+    operand: Ast  # negated: unary ``+`` leaves no node
 
 
 class Binary(NamedTuple):
@@ -205,7 +200,7 @@ _ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
 
 class _Parser:
     """One parse of one text: the token list, the index of the next token,
-    and the one nesting counter."""
+    and the count of open levels, apart from a numeral's braces."""
 
     __slots__ = ("text", "tokens", "index", "depth")
 
@@ -234,13 +229,13 @@ class _Parser:
             return True
         return False
 
-    def nest(self) -> None:
-        """Open a level (the caller closes it with ``depth -= 1``); every
-        recursive production passes through here."""
-        self.depth += 1
-        if self.depth > MAX_NESTING:
+    def nest(self, level: int) -> int:
+        """``level``, opened by the previous token, unless it is deeper than
+        ``MAX_NESTING``: every recursive production passes through here."""
+        if level > MAX_NESTING:
             opener = self.tokens[self.index - 1]
             raise _error(DepthLimitExceeded, f"nested deeper than {MAX_NESTING}", self.text, opener.offset)
+        return level
 
     def whole(self, production):
         result = production(self)
@@ -265,13 +260,14 @@ class _Parser:
 
     # -- number literals
 
-    def literal(self) -> GrossNumber:
+    def literal(self, braces: int = 0) -> GrossNumber:
         """A numeral, read in one loop over its terms: the coefficient, with
         the sign before it folded in, an optional ``/ integer``, then an
-        optional ``* G1 ^{...}``; only ``{`` recurses.  Terms that already
-        strictly decrease, none with a zero coefficient, make the value as
-        they stand; others go through ``normalize``."""
-        self.nest()
+        optional ``* G1 ^{...}``; only ``{`` recurses, and ``braces`` counts
+        the ones around this numeral, apart from the parser's levels.  Terms
+        that already strictly decrease, none with a zero coefficient, make
+        the value as they stand; others go through ``normalize``."""
+        self.nest(braces)
         tokens = self.tokens
         terms: list[GrossTerm] = []
         canonical = True
@@ -306,7 +302,7 @@ class _Parser:
             elif tokens[self.index].kind == "^":
                 self.index += 1
                 self.expect("{", "'{'")
-                exponent = self.literal()
+                exponent = self.literal(braces + 1)
                 self.expect("}", "'}'")
             else:
                 exponent = ONE
@@ -318,7 +314,6 @@ class _Parser:
                 break
             negative = kind == "-"
             self.index += 1
-        self.depth -= 1
         return GrossNumber(tuple(terms)) if canonical else normalize(terms)
 
     # -- statements
@@ -372,16 +367,20 @@ class _Parser:
     def numeral(self) -> Ast:
         """The operand as one Literal when ``literal()`` reads it and no ``*
         / ^`` follows; else the same tokens read again by ``additive()``, so
-        an operand that is not a numeral keeps its tree and its errors."""
-        index, depth = self.index, self.depth
+        an operand that is not a numeral keeps its tree and its errors.  The
+        operand read whole holds one level, whatever its braces."""
+        index = self.index
         if self.tokens[index].kind in _NUMERAL_STARTS:
+            self.depth = self.nest(self.depth + 1)
             try:
                 value = self.literal()
                 if self.tokens[self.index].kind not in _NOT_AFTER_NUMERAL:
                     return Literal(value)
             except ParseError:
                 pass
-            self.index, self.depth = index, depth
+            finally:
+                self.depth -= 1
+            self.index = index
         return self.additive()
 
     def additive(self) -> Ast:
@@ -404,13 +403,13 @@ class _Parser:
         """Unary ``+ -`` (``+`` leaves no node), or an atom with an optional
         ``^`` exponent, which is a braced expression or, right-associatively,
         another unary."""
-        self.nest()
+        self.depth = self.nest(self.depth + 1)
         tokens = self.tokens
         sign = tokens[self.index].kind
         if sign == "-" or sign == "+":
             self.index += 1
             operand = self.unary()
-            ast: Ast = Unary("-", operand) if sign == "-" else operand
+            ast: Ast = Unary(operand) if sign == "-" else operand
         else:
             ast = self.atom()
             if tokens[self.index].kind == "^":

@@ -303,7 +303,7 @@ def test_sum_var_takes_any_name(capsys, var):
     assert run(capsys, "sum", "--summand", var, "--var", var, "--upper", "3") == (0, "6\n", "")
 
 
-@pytest.mark.parametrize("var", ["G1", "let", "1x", "i i", ""])
+@pytest.mark.parametrize("var", ["G1", "let", "1x", "i i", "", "@"])
 def test_sum_var_must_be_a_name(capsys, var):
     with pytest.raises(SystemExit) as exit_info:
         main(["sum", "--summand", "G1", "--var", var, "--upper", "3"])
@@ -520,6 +520,24 @@ def test_repl_stdin_pipe(monkeypatch, capsys):
     assert captured.out == "0\n"
 
 
+def test_repl_on_a_terminal_prompts_until_end_of_input():
+    import os
+    import pty
+
+    terminal, stdin = pty.openpty()
+    try:
+        # the terminal queues the lines, and ^D at the start of a line is
+        # end of input
+        os.write(terminal, b"1 + 1\nlet x = G1\nx^2\n\x04")
+        proc = subprocess.run(
+            [sys.executable, "-m", "grossone.cli", "repl"], stdin=stdin, capture_output=True, timeout=30
+        )
+    finally:
+        os.close(stdin)
+        os.close(terminal)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"g1> 2\ng1> g1> G1^{2}\ng1> \n", b"")
+
+
 def test_repl_stdin_errors_are_named_stdin(monkeypatch, capsys):
     import io
     import sys as _sys
@@ -557,8 +575,9 @@ def test_repl_values_stay_reparseable(tmp_path, capsys):
 
 
 def _negative_grosspowers_100_braces_deep() -> str:
-    # read whole, a numeral nests one level per brace; as an expression each
-    # "^{-" would open two, one for the brace and one for the minus
+    # read whole, a numeral holds one level and counts its braces apart; as
+    # an expression each "^{-" would open two, one for the brace and one for
+    # the minus
     value = monomial(1, -1)
     for _ in range(99):
         value = monomial(1, -value)
@@ -572,6 +591,29 @@ def test_printed_negative_grosspowers_100_braces_deep_read_back(tmp_path, capsys
     assert run(capsys, "eval", text) == (0, text + "\n", "")
     script = tmp_path / "deep.txt"
     script.write_text(f"let a = {text}\na\n", encoding="utf-8")
+    assert run(capsys, "repl", "--script", str(script)) == (0, text + "\n", "")
+
+
+@pytest.mark.parametrize(
+    "context, printed",
+    [
+        ("({})", "{}"),
+        ("2*({})", "2*{}"),
+        # at Python's default recursion limit: 100 levels of "(" and one
+        # numeral whose 100 braces count apart from them
+        ("(" * 100 + "{}" + ")" * 100, "{}"),
+    ],
+    ids=["group", "factor", "100 parentheses"],
+)
+def test_a_printed_value_100_braces_deep_reads_back_inside_a_group(capsys, context, printed):
+    text = _negative_grosspowers_100_braces_deep()
+    assert run(capsys, "eval", context.format(text)) == (0, printed.format(text) + "\n", "")
+
+
+def test_a_call_argument_reads_a_printed_value_100_braces_deep(tmp_path, capsys):
+    text = _negative_grosspowers_100_braces_deep()
+    script = tmp_path / "deep.txt"
+    script.write_text(f"def f(x) = x\nf({text})\n", encoding="utf-8")
     assert run(capsys, "repl", "--script", str(script)) == (0, text + "\n", "")
 
 

@@ -38,6 +38,7 @@ from grossone.evaluator import (
 )
 from grossone.numio import (
     Branch,
+    LetBinding,
     Literal,
     PiecewiseDef,
     parse_expression,
@@ -174,6 +175,11 @@ def test_wrong_arity():
     env = session("def g(x) = x")
     with pytest.raises(EvalError):
         run("g(1, 2)", env)
+
+
+def test_a_statement_is_not_an_expression():
+    with pytest.raises(EvalError, match="cannot evaluate LetBinding as an expression"):
+        evaluate(LetBinding("x", Literal(ONE)), Env())
 
 
 def test_comparison_is_not_a_value():

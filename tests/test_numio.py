@@ -426,7 +426,7 @@ def test_a_whole_numeral_operand_is_one_literal(text, ast):
 @pytest.mark.parametrize(
     "text, shape",
     [
-        ("-2^2", Unary("-", Binary("^", Literal(from_int(2)), Literal(from_int(2))))),
+        ("-2^2", Unary(Binary("^", Literal(from_int(2)), Literal(from_int(2))))),
         ("(1.5/2)", Binary("/", Literal(from_rational(Fraction(3, 2))), Literal(from_int(2)))),
         ("(1/0)", Binary("/", Literal(ONE), Literal(ZERO))),
         ("G1^2", Binary("^", Literal(G1), Literal(from_int(2)))),
@@ -442,7 +442,7 @@ def test_unary_plus_leaves_no_node():
     assert parse_expression("x^{+2}") == Binary("^", Var("x"), Literal(from_int(2)))
     assert parse_expression("+x") == Var("x")
     assert parse_expression("1 + +x") == Binary("+", Literal(ONE), Var("x"))
-    assert parse_expression("-+x") == Unary("-", Var("x"))
+    assert parse_expression("-+x") == Unary(Var("x"))
     with pytest.raises(ParseError) as err:
         parse_expression("+")
     assert (err.value.column, err.value.message) == (2, "expected an expression")
@@ -500,6 +500,19 @@ def test_parse_piecewise_def():
 def test_piecewise_condition_must_test_parameter():
     with pytest.raises(ParseError):
         parse_statement("def f(x) = { 1 if y < 0 }")
+
+
+@pytest.mark.parametrize(
+    "text, column, message",
+    [
+        ("def f(x) = { 1 }", 16, "expected 'if' after the branch expression"),
+        ("def f(x) = { 1 if x + 1 }", 21, "expected a comparison operator"),
+    ],
+)
+def test_malformed_branch_error_positions(text, column, message):
+    with pytest.raises(ParseError) as err:
+        parse_statement(text)
+    assert (err.value.line, err.value.column, err.value.message) == (1, column, message)
 
 
 # ---------------------------------------------------------------- printing
