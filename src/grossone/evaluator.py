@@ -33,6 +33,7 @@ from .numio import (
     PiecewiseDef,
     Unary,
     Var,
+    _RELATIONS,
     operator_chain,
     print_canonical,
 )
@@ -83,15 +84,6 @@ class Env:
         if self.div_max_terms is None:
             return core.exact_divide(x, y)
         return core.divide(x, y, self.div_max_terms).quotient
-
-
-_RELATIONS = {
-    "<": (-1,),
-    "<=": (-1, 0),
-    "=": (0,),
-    ">=": (0, 1),
-    ">": (1,),
-}
 
 
 def evaluate(ast: Ast, env: Env) -> GrossNumber:

@@ -15,19 +15,20 @@ numeral.  A bare coefficient means ``c*G1^0``; a bare ``G1`` means
 Expressions add variables, calls, parentheses and operators with
 precedence ``^`` (right-associative) over unary ``+ -`` over ``* /`` over
 ``+ -`` over comparisons.  After ``^`` a braced group is allowed, so
-``G1^{-1}`` works the same in literals and expressions.  An operand that
-is a whole numeral (all of an expression, a side of a comparison, a
-``( )`` group, a call argument, a ``def`` body, a branch body or a
-breakpoint, not followed by ``* / ^``) is read as one literal, not as a
-computation, and has the same value.  A numeral is read in one loop over
-its terms; when they already strictly decrease and none has a zero
-coefficient, they are the value as they stand, and only otherwise does
-``core.normalize`` merge and sort them.
+``G1^{-1}`` works the same in literals and expressions.  Wherever a full
+expression stands (all of the text, a side of a comparison, a ``( )``
+group, a call argument, a ``def`` body, a branch body, a breakpoint or a
+``^{ }`` exponent), a whole numeral that no ``* / ^`` follows is read as
+one literal, not as a computation, and has the same value.  A numeral is
+read in one loop over its terms; when they already strictly decrease and
+none has a zero coefficient, they are the value as they stand, and only
+otherwise does ``core.normalize`` merge and sort them.
 
 Input nests at most ``core.MAX_NESTING`` levels, as values do: ``(``, a
 call's arguments, ``{``, the operand of unary ``+ -`` and the right operand
 of ``^`` each open one (``^{`` opens one); a numeral read whole holds one
-and counts its braces apart.  ``+ - * /`` chains do not nest.
+and counts its braces apart, and one more than ``MAX_NESTING`` braces deep
+is refused at its own brace.  ``+ - * /`` chains do not nest.
 
 Statements (one per line in session scripts; '#' starts a comment)::
 
@@ -190,7 +191,8 @@ def operator_chain(ast: Ast) -> tuple[Ast, list[tuple[str, Ast]]]:
 
 # ------------------------------------------------------------------ parser
 
-_RELATIONS = frozenset({"<", "<=", "=", ">=", ">"})
+# Each relation and the signs of ``core.compare`` for which it holds.
+_RELATIONS = {"<": (-1,), "<=": (-1, 0), "=": (0,), ">=": (0, 1), ">": (1,)}
 
 _G1_LITERAL = Literal(core.GROSSONE)
 _NUMERAL_STARTS = frozenset({"number", "G1", "+", "-"})
@@ -365,27 +367,27 @@ class _Parser:
         return Compare(relation, left, self.numeral())
 
     def numeral(self) -> Ast:
-        """The operand as one Literal when ``literal()`` reads it and no ``*
-        / ^`` follows; else the same tokens read again by ``additive()``, so
-        an operand that is not a numeral keeps its tree and its errors.  The
-        operand read whole holds one level, whatever its braces."""
+        """A full expression, the parser's one entry for it: one Literal when
+        ``literal()`` reads it and no ``* / ^`` follows, holding one level
+        whatever its braces, which it refuses past ``MAX_NESTING``; else the
+        same tokens read again as a ``+ -`` chain, so an operand that is not
+        a numeral keeps its tree and its errors."""
+        tokens = self.tokens
         index = self.index
-        if self.tokens[index].kind in _NUMERAL_STARTS:
+        if tokens[index].kind in _NUMERAL_STARTS:
             self.depth = self.nest(self.depth + 1)
             try:
                 value = self.literal()
-                if self.tokens[self.index].kind not in _NOT_AFTER_NUMERAL:
+                if tokens[self.index].kind not in _NOT_AFTER_NUMERAL:
                     return Literal(value)
+            except DepthLimitExceeded:
+                raise
             except ParseError:
                 pass
             finally:
                 self.depth -= 1
             self.index = index
-        return self.additive()
-
-    def additive(self) -> Ast:
         left = self.multiplicative()
-        tokens = self.tokens
         while (op := tokens[self.index].kind) == "+" or op == "-":
             self.index += 1
             left = Binary(op, left, self.multiplicative())
@@ -416,7 +418,7 @@ class _Parser:
                 self.index += 1
                 if tokens[self.index].kind == "{":
                     self.index += 1
-                    exponent = self.additive()
+                    exponent = self.numeral()
                     self.expect("}", "'}'")
                 else:
                     exponent = self.unary()

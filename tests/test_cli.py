@@ -11,8 +11,9 @@ import pytest
 
 from grossone.cli import main
 from grossone.core import GROSSONE, MAX_DIV_TERMS, ONE, ZERO, divide, monomial, power_int
+from grossone.errors import DepthLimitExceeded
 from grossone.evaluator import Env
-from grossone.numio import parse_expression, parse_number, print_canonical
+from grossone.numio import Literal, parse_expression, parse_number, print_canonical
 from grossone.summation import sum_finite_generic
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -116,6 +117,13 @@ def test_eval_nesting_limit(capsys):
     code, _, err = run(capsys, "eval", "G1^{" * 101 + "G1" + "}" * 101)
     assert code == 2
     assert err == "error: 1:404: nested deeper than 100\n"
+    # a numeral too deep is refused at its 101st "{", as parse_number does,
+    # not read again as an expression
+    text = "G1^{-" * 101 + "1" + "}" * 101
+    assert run(capsys, "eval", text) == (2, "", "error: 1:504: nested deeper than 100\n")
+    with pytest.raises(DepthLimitExceeded) as refused:
+        parse_number(text)
+    assert (refused.value.line, refused.value.column) == (1, 504)
 
 
 @pytest.mark.parametrize(
@@ -602,12 +610,38 @@ def test_printed_negative_grosspowers_100_braces_deep_read_back(tmp_path, capsys
         # at Python's default recursion limit: 100 levels of "(" and one
         # numeral whose 100 braces count apart from them
         ("(" * 100 + "{}" + ")" * 100, "{}"),
+        ("{} * 1", "{}"),
+        ("{} / 2", "0.5*{}"),
+        ("2 * {}", "2*{}"),
+        # a "^{ }" exponent is a full expression: it reads the numeral whole
+        ("1^{{{}}}", "1"),
     ],
-    ids=["group", "factor", "100 parentheses"],
+    ids=["group", "factor", "100 parentheses", "left of *", "left of /", "right of *", "exponent"],
 )
 def test_a_printed_value_100_braces_deep_reads_back_inside_a_group(capsys, context, printed):
     text = _negative_grosspowers_100_braces_deep()
     assert run(capsys, "eval", context.format(text)) == (0, printed.format(text) + "\n", "")
+
+
+def _frames_in_use() -> int:
+    frame, frames = sys._getframe(1), 0
+    while frame is not None:
+        frame, frames = frame.f_back, frames + 1
+    return frames
+
+
+def test_100_parentheses_around_a_value_100_braces_deep_parse_within_660_frames():
+    # each "(" holds five parser frames (compare, numeral, multiplicative,
+    # unary, atom) and each brace of the numeral one literal frame
+    text = _negative_grosspowers_100_braces_deep()
+    value = parse_number(text)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frames_in_use() + 660)
+    try:
+        ast = parse_expression("(" * 100 + text + ")" * 100)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert ast == Literal(value)
 
 
 def test_a_call_argument_reads_a_printed_value_100_braces_deep(tmp_path, capsys):

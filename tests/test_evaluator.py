@@ -13,7 +13,9 @@ from grossone.core import (
     GROSSONE,
     ONE,
     ZERO,
+    _brace_depth,
     as_rational,
+    compare,
     from_int,
     from_rational,
     monomial,
@@ -411,3 +413,42 @@ def test_a_numeral_reads_whole_to_the_value_of_its_expression(x):
             # a name bound to G1 sends every term through the operators
             expression = parse_expression(text.replace("G1", "u"))
             assert evaluate(expression, Env().bind("u", GROSSONE)) == value
+
+
+@st.composite
+def _single_terms_in_towers(draw):
+    """A single-term value or zero, wrapped in ``G1^{-...}`` until it nests
+    a drawn number of braces, up to 100, and then scaled."""
+    value = draw(gross_numbers(max_depth=2, max_terms=1))
+    braces = draw(st.integers(0, 100))
+    while _brace_depth(value) < braces:
+        value = monomial(1, -value)
+    return draw(small_rationals.filter(bool)) * value
+
+
+# each context, with "v" standing for the printed value, and what it gives
+# for the value; the right operand of "/" and both operands of "^" are left
+# out, as there precedence groups a printed value apart ("2 / 3*G1" is
+# "(2/3)*G1") and it needs "( )"
+_CONTEXTS = {
+    "(v)": lambda v: v,
+    "v * 2": lambda v: v * 2,
+    "2 * v": lambda v: 2 * v,
+    "v / 2": lambda v: v / 2,
+    "-v": lambda v: -v,
+    "f(v)": lambda v: v,
+    "v < 1": lambda v: compare(v, ONE) < 0,
+    "1 < v": lambda v: compare(ONE, v) < 0,
+    "G1^{v}": lambda v: monomial(1, v),
+}
+
+
+@given(_single_terms_in_towers())
+def test_a_printed_value_reads_back_in_every_operand_context(v):
+    env = session("def f(x) = x")
+    printed = print_canonical(v)
+    for context, meaning in _CONTEXTS.items():
+        if context == "G1^{v}" and _brace_depth(v) == 100:
+            continue  # G1^{v} would nest 101 braces
+        text = context.replace("v", printed)
+        assert exec_statement(parse_statement(text), env)[1] == meaning(v), context
