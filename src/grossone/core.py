@@ -9,6 +9,10 @@ exponents strictly decreasing, drops zero coefficients, and represents zero
 as the empty sum; structural equality of canonical forms is numeric
 equality.
 
+A ``GrossNumber`` is slotted and immutable.  It caches its hash and its
+brace depth in the slots ``_hash`` and ``_depth`` on first use, and its
+``__reduce__`` keeps pickle and copy working.  Records are ``NamedTuple``s.
+
 The ordering is dominance order: the term with the largest grosspower
 decides the sign, so every infinite number exceeds every finite one, which
 in turn exceeds every infinitesimal, which is still strictly positive when
@@ -35,7 +39,6 @@ grosspowers are made once and shared by every value that has them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
@@ -121,11 +124,30 @@ class GrossTerm(NamedTuple):
     exponent: "GrossNumber"
 
 
-@dataclass(frozen=True, eq=False)
 class GrossNumber:
-    """Canonical gross-number: terms sorted by strictly decreasing exponent."""
+    """Canonical gross-number: terms sorted by strictly decreasing exponent.
 
-    terms: Tuple[GrossTerm, ...] = ()
+    Slotted and immutable: ``__setattr__`` and ``__delattr__`` refuse, so the
+    constructor writes ``terms`` and the two caches, ``_hash`` and ``_depth``
+    (None until first asked for), through the slot descriptors.
+    ``__reduce__`` rebuilds a value from its terms for pickle and copy.
+    """
+
+    __slots__ = ("terms", "_hash", "_depth")
+
+    def __init__(self, terms: Tuple[GrossTerm, ...] = ()) -> None:
+        _set_terms(self, terms)
+        _set_hash(self, None)
+        _set_depth(self, None)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return GrossNumber, (self.terms,)
 
     # -- comparisons ------------------------------------------------------
 
@@ -140,12 +162,12 @@ class GrossNumber:
         # Cached: values are immutable and get hashed heavily as exponent
         # keys.  Purely finite values hash like their rational value so
         # that x == 5 implies hash(x) == hash(5).
-        h = getattr(self, "_hash", None)
+        h = self._hash
         if h is not None:
             return h
         q = as_rational(self)
         h = hash(self.terms) if q is None else hash(q)
-        object.__setattr__(self, "_hash", h)
+        _set_hash(self, h)
         return h
 
     def __lt__(self, other: GrossLike) -> bool:
@@ -210,6 +232,11 @@ class GrossNumber:
     __str__ = __repr__
 
 
+# The slot descriptors' setters, which go round the refusing __setattr__.
+_set_terms = GrossNumber.terms.__set__
+_set_hash = GrossNumber._hash.__set__
+_set_depth = GrossNumber._depth.__set__
+
 ZERO = GrossNumber()
 ONE = GrossNumber((GrossTerm(Fraction(1), ZERO),))
 GROSSONE = GrossNumber((GrossTerm(Fraction(1), ONE),))
@@ -258,9 +285,7 @@ def _brace_depth(x: GrossNumber) -> int:
     >>> _brace_depth(GROSSONE ** GROSSONE + GROSSONE)
     1
     """
-    # getattr with a default: a raised AttributeError on every fresh value
-    # cost (G1^p)^k about 6% in the nested benchmark
-    depth = getattr(x, "_depth", None)
+    depth = x._depth
     if depth is not None:
         return depth
     depth = 0
@@ -269,7 +294,7 @@ def _brace_depth(x: GrossNumber) -> int:
             depth = max(depth, p.terms[0].coefficient != 1)
         elif p.terms:
             depth = max(depth, 1 + _brace_depth(p))
-    object.__setattr__(x, "_depth", depth)
+    _set_depth(x, depth)
     return depth
 
 
@@ -716,8 +741,7 @@ def power_gross(x: GrossNumber, k: GrossNumber) -> GrossNumber:
 # ----------------------------------------------------------------- division
 
 
-@dataclass(frozen=True)
-class DivResult:
+class DivResult(NamedTuple):
     """Outcome of truncated long division: dividend = quotient*divisor + remainder.
     Each step emits one quotient term, so ``terms_emitted`` is its length.
 

@@ -16,8 +16,7 @@ and image run only for an unbound name, so every binding shadows them.
 from __future__ import annotations
 
 from contextvars import ContextVar
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 from . import core
 from .core import GrossNumber, as_rational, compare
@@ -54,19 +53,19 @@ MAX_CALL_LEVELS = 400
 _call_levels: ContextVar[int] = ContextVar("_call_levels", default=0)
 
 
-def _predefined() -> dict[str, Value]:
-    return {"N": NATURALS, "E": EVEN_NATURALS, "true": True, "false": False}
+# Env's default bindings, shared by every Env() and never written: bind
+# copies them.
+_PREDEFINED: dict[str, Value] = {"N": NATURALS, "E": EVEN_NATURALS, "true": True, "false": False}
 
 
-@dataclass(frozen=True)
-class Env:
+class Env(NamedTuple):
     """Immutable evaluation context; extension returns a new environment.
 
     ``div_max_terms`` None means division must be exact; an integer allows
     truncation to that many quotient terms.
     """
 
-    bindings: Mapping[str, Value] = field(default_factory=_predefined)
+    bindings: Mapping[str, Value] = _PREDEFINED
     div_max_terms: Optional[int] = None
 
     def lookup(self, name: str) -> Value:

@@ -15,10 +15,9 @@ probability zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import core
 from .core import (
@@ -27,6 +26,7 @@ from .core import (
     GrossNumber,
     NumClass,
     ONE,
+    _new_tuple,
     as_gross,
     compare,
     from_int,
@@ -37,19 +37,23 @@ from .core import (
 from .errors import InvalidModel, InvalidProgression
 
 
-@dataclass(frozen=True)
-class ProgressionSet:
-    """Arithmetic progression start, start+step, ... with ``count`` elements."""
-
+class _Progression(NamedTuple):
     start: GrossNumber
     step: Fraction
     count: GrossNumber
 
-    def __post_init__(self):
-        if self.step == 0:
+
+class ProgressionSet(_Progression):
+    """Arithmetic progression start, start+step, ... with ``count`` elements."""
+
+    __slots__ = ()
+
+    def __new__(cls, start: GrossNumber, step: Fraction, count: GrossNumber) -> "ProgressionSet":
+        if step == 0:
             raise InvalidProgression("step must be nonzero")
-        if not is_integer_like(self.count) or core.sign(self.count) <= 0:
+        if not is_integer_like(count) or core.sign(count) <= 0:
             raise InvalidProgression("count must be a positive integer-like gross-number")
+        return _new_tuple(cls, (start, step, count))
 
     @property
     def last(self) -> GrossNumber:
@@ -99,23 +103,27 @@ class EventExtent(Enum):
     ARC = "Arc"
 
 
-@dataclass(frozen=True)
-class ProbabilityModel:
-    """Sample space of ``total`` equiprobable events, ``favorable`` of them
-    favorable."""
-
+class _Model(NamedTuple):
     total: GrossNumber
     favorable: GrossNumber
 
-    def __post_init__(self):
-        if not (is_integer_like(self.total) and is_integer_like(self.favorable)):
+
+class ProbabilityModel(_Model):
+    """Sample space of ``total`` equiprobable events, ``favorable`` of them
+    favorable."""
+
+    __slots__ = ()
+
+    def __new__(cls, total: GrossNumber, favorable: GrossNumber) -> "ProbabilityModel":
+        if not (is_integer_like(total) and is_integer_like(favorable)):
             raise InvalidModel("event counts must be integer-like gross-numbers")
-        if core.sign(self.total) <= 0:
+        if core.sign(total) <= 0:
             raise InvalidModel("the sample space must have a positive number of events")
-        if core.sign(self.favorable) < 0:
+        if core.sign(favorable) < 0:
             raise InvalidModel("the favorable count cannot be negative")
-        if compare(self.favorable, self.total) > 0:
+        if compare(favorable, total) > 0:
             raise InvalidModel("the favorable count cannot exceed the sample space")
+        return _new_tuple(cls, (total, favorable))
 
 
 def classify_event(model: ProbabilityModel) -> tuple[EventClass, Optional[EventExtent]]:

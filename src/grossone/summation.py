@@ -20,12 +20,11 @@ so twice them is the same rows shifted left by j + 1 bits, at m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 from math import gcd, lcm
-from typing import Iterable, Tuple
+from typing import Iterable, NamedTuple, Tuple
 
 from . import core
 from .core import GrossNumber, ONE, Parity, ZERO, as_gross, from_int, scalar_mul
@@ -80,8 +79,7 @@ def faulhaber(j: int, k: GrossNumber) -> GrossNumber:
     return core._polynomial_at([ONE], [_row(j)], as_gross(k))
 
 
-@dataclass(frozen=True)
-class PolynomialSummand:
+class PolynomialSummand(NamedTuple):
     """Summand c_0 + c_1*i + ... + c_d*i^d; coefficients are gross-numbers."""
 
     coefficients: Tuple[GrossNumber, ...]

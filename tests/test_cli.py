@@ -1,6 +1,7 @@
 """Exit codes, stdout/stderr separation and golden outputs for the four
 subcommands."""
 
+import os
 import pathlib
 import re
 import subprocess
@@ -9,6 +10,7 @@ import time
 
 import pytest
 
+import grossone
 from grossone.cli import main
 from grossone.core import GROSSONE, MAX_DIV_TERMS, ONE, ZERO, divide, monomial, power_int
 from grossone.errors import DepthLimitExceeded
@@ -852,3 +854,21 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1\n"
+
+
+def test_a_cold_start_loads_neither_dataclasses_nor_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize: about a tenth of a
+    # cold `grossone eval 1`.  -S keeps site hooks out of the count, and the
+    # path is that of the grossone under test.
+    code = (
+        "import sys, grossone.cli\n"
+        "grossone.cli.main(['eval', '1'])\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(pathlib.Path(grossone.__file__).parents[1])},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n[]\n", "")

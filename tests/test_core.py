@@ -183,6 +183,19 @@ def test_infinitesimals_are_positive_but_below_every_finite():
     assert G1_INV < Fraction(1, 10**50)
 
 
+@pytest.mark.parametrize("x", [ZERO, from_rational(Fraction(-7, 3)), G1 ** G1 + G1 - G1_INV])
+def test_the_order_is_reflexive(x):
+    assert not x < x and not x > x
+    assert x <= x and x >= x
+
+
+def test_equal_values_built_apart_compare_equal():
+    x = monomial(1, G1) + GROSSONE
+    y = from_int(2) * G1 / 2 + monomial(1, 3 * G1 - 2 * G1)
+    assert x is not y and x.terms is not y.terms
+    assert compare(x, y) == 0 and not x < y and not x > y
+
+
 @given(gross_numbers(), gross_numbers())
 def test_compare_equals_sign_of_difference(x, y):
     assert compare(x, y) == sign(subtract(x, y))
@@ -1049,8 +1062,15 @@ def test_equality_and_hash_with_rationals():
 
 
 def test_values_are_immutable():
-    with pytest.raises(AttributeError):
-        G1.terms = ()
+    x = G1 ** G1 + G1
+    hash(x), core._brace_depth(x)  # fill both caches
+    before = (x.terms, x._hash, x._depth)
+    for name in ("terms", "_hash", "_depth", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, ())
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert (x.terms, x._hash, x._depth) == before
 
 
 def test_a_value_too_long_to_print_shows_a_placeholder():
