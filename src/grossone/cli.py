@@ -1,7 +1,15 @@
 """Command-line front end: eval, sum, prob and an interactive repl.
 
 Exit codes: 0 success, 1 usage error, 2 malformed input text, 3 evaluation
-or domain error.  Results go to stdout, errors to stderr.
+or domain error (running out of memory included).  Results go to stdout,
+errors to stderr.
+
+``main`` builds its parsers once per process.  When the first word names a
+subcommand, that subcommand's own parser reads the other words, so argparse
+scans them once.  Every other command line (no words, ``-h``, an unknown or
+abbreviated subcommand, an option before the subcommand, a word left over)
+goes through the top-level parser as a whole, which prints argparse's own
+usage, help and error texts.
 """
 
 from __future__ import annotations
@@ -16,6 +24,9 @@ from .evaluator import Env, evaluate_value, exec_statement, render
 from .numio import lex, parse_expression, parse_number, parse_statement
 from .setcalc import ProbabilityModel, classify_event
 from .summation import sum_expression
+
+# str(MemoryError()) is usually empty
+_OUT_OF_MEMORY = "out of memory"
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -55,7 +66,8 @@ def _format_option(text: str) -> Optional[int]:
     raise argparse.ArgumentTypeError("expected 'exact' or 'decimal:D'")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers by name."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--div-truncate",
@@ -108,7 +120,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_repl.add_argument("--script", metavar="FILE", help="run statements from a file")
     p_repl.set_defaults(run=cmd_repl)
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _build_parser()[0]
 
 
 def _env(args) -> Env:
@@ -186,17 +202,30 @@ def cmd_repl(args) -> int:
         except GrossoneError as exc:
             print(f"{source}:{lineno}: {exc}", file=sys.stderr)
             status = 3
+        except MemoryError:
+            print(f"{source}:{lineno}: {_OUT_OF_MEMORY}", file=sys.stderr)
+            status = 3
     return status
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call and reused by every later one."""
-    return build_parser()
+# built on the first call and reused by every later one
+_parsers = functools.cache(_build_parser)
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        # what the top-level parser would hand this subcommand's parser
+        args, extras = command.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    # help, or a usage error in the words the top-level parser would use
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.run(args)
     except ParseError as exc:
@@ -204,6 +233,9 @@ def main(argv=None) -> int:
         return 2
     except GrossoneError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print(f"error: {_OUT_OF_MEMORY}", file=sys.stderr)
         return 3
 
 

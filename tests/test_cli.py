@@ -1,6 +1,9 @@
 """Exit codes, stdout/stderr separation and golden outputs for the four
 subcommands."""
 
+import argparse
+import contextlib
+import io
 import os
 import pathlib
 import re
@@ -11,11 +14,13 @@ import time
 import pytest
 
 import grossone
-from grossone.cli import main
+import grossone.cli
+import grossone.evaluator
+from grossone.cli import build_parser, main
 from grossone.core import GROSSONE, MAX_DIV_TERMS, ONE, ZERO, divide, monomial, power_int
-from grossone.errors import DepthLimitExceeded
+from grossone.errors import DepthLimitExceeded, GrossoneError, ParseError
 from grossone.evaluator import Env
-from grossone.numio import Literal, parse_expression, parse_number, print_canonical
+from grossone.numio import Binary, Literal, parse_expression, parse_number, print_canonical
 from grossone.summation import sum_finite_generic
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -783,6 +788,102 @@ def test_reused_parser_answers_like_a_fresh_process(monkeypatch, capsys):
         assert _in_process(capsys, argv) == (proc.returncode, proc.stdout, proc.stderr)
         codes.append(proc.returncode)
     assert codes == [0, 1, 0, 0]
+
+
+def _two_pass(argv):
+    # the parse that main made before it read a known subcommand in one pass:
+    # the top-level parser reads every word and hands the words after the
+    # subcommand to that subcommand's parser
+    args = build_parser().parse_args(argv)
+    try:
+        return args.run(args)
+    except ParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except GrossoneError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 3
+
+
+def outcome(entry, argv):
+    """Exit code, stdout and stderr of ``entry(argv)``, usage exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = entry(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+PARITY_ARGVS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["evl", "1"],
+    ["ev", "1"],
+    ["--div-truncate", "3", "eval", "1"],
+    ["eval", "1", "2"],
+    ["eval", "--", "-G1"],
+    ["eval", "--", "1", "--"],
+    ["sum", "--summand=-i", "--upper", "3"],
+    ["eval", "--div", "3", "1/(1+G1)"],
+    ["eval", "--format=decimal:2", "1/3"],
+    ["eval", "--help"],
+    ["sum", "--upper", "G1"],
+    ["repl", "--script", str(FIXTURES / "no-such-script.txt")],
+]
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGVS, ids=repr)
+def test_one_pass_parse_answers_like_the_two_pass_parse(monkeypatch, argv):
+    # usage, help and error texts are argparse's own, so they must come out
+    # byte for byte as the top-level parser alone would print them
+    monkeypatch.setenv("COLUMNS", "80")
+    assert outcome(main, argv) == outcome(_two_pass, argv)
+
+
+def test_a_known_subcommand_is_parsed_in_one_pass(monkeypatch, capsys):
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    for argv in (
+        ["eval", "1+G1"],
+        ["sum", "--summand", "i", "--upper", "G1"],
+        ["prob", "--total", "G1", "--favorable", "1"],
+        ["repl", "--script", str(FIXTURES / "session_basics.txt")],
+    ):
+        calls.clear()
+        code, _, err = run(capsys, *argv)
+        assert (code, err, calls) == (0, "", [f"grossone {argv[0]}"])
+
+
+def _out_of_memory(*args):
+    raise MemoryError
+
+
+def test_eval_out_of_memory_is_an_evaluation_error(monkeypatch, capsys):
+    monkeypatch.setattr(grossone.cli, "evaluate_value", _out_of_memory)
+    assert run(capsys, "eval", "(G1+1)^200000") == (3, "", "error: out of memory\n")
+
+
+def test_repl_reports_running_out_of_memory_and_goes_on(monkeypatch, capsys):
+    evaluate_value = grossone.evaluator.evaluate_value
+
+    def fails_on_powers(ast, env):
+        return _out_of_memory() if isinstance(ast, Binary) and ast.op == "^" else evaluate_value(ast, env)
+
+    monkeypatch.setattr(grossone.evaluator, "evaluate_value", fails_on_powers)
+    monkeypatch.setattr(sys, "stdin", io.StringIO("1 + 1\n(G1+1)^200000\nG1 - 1\n"))
+    assert run(capsys, "repl") == (3, "2\nG1 - 1\n", "<stdin>:2: out of memory\n")
 
 
 # Python converts at most this many digits between an integer and text.
